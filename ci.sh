@@ -36,6 +36,10 @@ cargo bench --workspace --no-run     # criterion benches must keep compiling
 # CI boxes and turn timing-tolerant tests flaky.
 RUST_TEST_THREADS=4 cargo test -q --release              # tier-1 gate (root package)
 RUST_TEST_THREADS=4 cargo test -q --release --workspace  # every crate, incl. vendored stubs
+# The benchmark package has a workspace of its own and builds the crates
+# by path: build it and run its self-test so a change to a public item
+# it uses can never silently break the benchmark.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 # Fault-schedule fuzzing: replay the checked-in regression seeds plus a
 # few fresh random ones. A failing seed is printed with its minimized
 # schedule (replay it locally with `sim-replay <seed>`) and appended to

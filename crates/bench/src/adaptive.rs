@@ -96,12 +96,18 @@ pub fn measure_adaptive(
     let sink = Arc::clone(&totals);
     let policy = Arc::new(adaptive);
     let encoder = Arc::clone(&policy);
+    let mut wire = Vec::new();
+    let mut encoded_len = move |r: &dyn Replicator, lba, old: &[u8], new: &[u8]| {
+        wire.clear();
+        r.encode_write_into(lba, old, new, &mut wire);
+        wire.len() as u64
+    };
     let observer = Box::new(move |_seq: u64, lba, old: &[u8], new: &[u8]| {
         let mut totals = sink.lock().expect("ablation mutex");
         for (replicator, total) in replicators.iter().zip(totals.0.iter_mut()) {
-            *total += replicator.encode_write(lba, old, new).len() as u64;
+            *total += encoded_len(&**replicator, lba, old, new);
         }
-        totals.1 += encoder.encode_write(lba, old, new).len() as u64;
+        totals.1 += encoded_len(&*encoder, lba, old, new);
     });
 
     let report = run(workload, &config.run_config(), Some(observer))?;

@@ -112,8 +112,10 @@ fn replay(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         let replicator = mode.replicator();
         let mut payload = 0u64;
         let mut wire = 0u64;
+        let mut bytes = Vec::new();
         trace.replay(|lba, old, new| {
-            let bytes = replicator.encode_write(Lba(lba.index()), old, new);
+            bytes.clear();
+            replicator.encode_write_into(Lba(lba.index()), old, new, &mut bytes);
             payload += bytes.len() as u64;
             wire += link.wire_bytes(bytes.len());
         });

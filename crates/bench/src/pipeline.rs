@@ -21,11 +21,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use prins_block::{BlockDevice, Lba, MemDevice};
+use prins_cluster::{ClusterConfig, ClusterGroup};
 use prins_core::EngineBuilder;
 use prins_net::{channel_pair, FaultTransport, LinkModel, MeterSnapshot, TrafficMeter, Transport};
-use prins_repl::{
-    run_replica, verify_consistent, AckPolicy, ReplError, ReplicationGroup, ReplicationMode,
-};
+use prins_repl::{run_replica, verify_consistent, AckPolicy, ReplError, ReplicationMode};
 use prins_workloads::{capture_trace, Workload, WriteTrace};
 
 use crate::{FigureTable, TrafficConfig};
@@ -225,24 +224,31 @@ fn settle(primary: &MemDevice, set: ReplicaSet) -> Result<(), Box<dyn std::error
 }
 
 /// The baseline: encode, fan out, and await every acknowledgement from
-/// the caller's thread, one write at a time.
+/// the caller's thread, one write at a time — a [`ClusterGroup`] at ack
+/// window 1 whose quorum is every replica, so any replica failure fails
+/// the run.
 fn run_serial(
     stream: &TraceStream,
     set: ReplicaSet,
     primary: &MemDevice,
 ) -> Result<(Duration, u64), Box<dyn std::error::Error>> {
     let (meters, before) = meter_window(&set.transports);
-    let mut group = ReplicationGroup::new(ReplicationMode::Prins, set.transports);
+    let config = ClusterConfig {
+        mode: ReplicationMode::Prins,
+        ack_window: 1,
+        write_quorum: set.transports.len(),
+        ..ClusterConfig::default()
+    };
+    let mut group = ClusterGroup::new(primary, config, set.transports);
     let start = Instant::now();
     for (lba, new) in &stream.writes {
-        let old = primary.read_block_vec(*lba)?;
-        primary.write_block(*lba, new)?;
-        group.replicate(*lba, &old, new)?;
+        group.write(*lba, new)?;
     }
     let elapsed = start.elapsed();
     let wire_bytes = window_wire_bytes(&meters, &before);
+    drop(group);
     let remainder = ReplicaSet {
-        transports: group.into_transports(),
+        transports: Vec::new(),
         devices: set.devices,
         workers: set.workers,
     };

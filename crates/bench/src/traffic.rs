@@ -147,10 +147,12 @@ pub fn measure_traffic(
     let totals: Arc<Mutex<Vec<ModeTraffic>>> =
         Arc::new(Mutex::new(vec![ModeTraffic::default(); modes.len()]));
     let sink = Arc::clone(&totals);
+    let mut payload = Vec::new();
     let observer = Box::new(move |_seq: u64, lba, old: &[u8], new: &[u8]| {
         let mut totals = sink.lock().expect("traffic mutex");
         for (replicator, total) in replicators.iter().zip(totals.iter_mut()) {
-            let payload = replicator.encode_write(lba, old, new);
+            payload.clear();
+            replicator.encode_write_into(lba, old, new, &mut payload);
             total.payload_bytes += payload.len() as u64;
             total.wire_bytes += link.wire_bytes(payload.len());
             total.writes += 1;

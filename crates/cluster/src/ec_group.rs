@@ -40,8 +40,7 @@ use prins_net::{Clock, Transport};
 use prins_obs::{Counter, Event, EventKind, Histogram, Registry, TraceId, TraceSink, TraceStage};
 use prins_parity::{ErasureCodec, SparseCodec};
 use prins_repl::{
-    decode_ack, decode_strip_ack, encode_strip_request, seal_frame, Payload, PayloadBody,
-    ReplError, ACK, NAK, NAK_CORRUPT,
+    classify_response, encode_strip_request, seal_begin, Payload, ReplError, Response,
 };
 
 use crate::ClusterError;
@@ -138,8 +137,8 @@ impl EcTracer {
 struct EcNode {
     transport: Box<dyn Transport>,
     /// Response-stream generation, as in
-    /// [`ClusterGroup`](crate::ClusterGroup): bumped on rejoin so
-    /// stranded responses identify themselves.
+    /// [`ClusterGroup`](crate::ClusterGroup): bumped on rejoin and on a
+    /// receive failure so stranded responses identify themselves.
     epoch: u64,
     down: bool,
     strip_writes: u64,
@@ -213,6 +212,8 @@ pub struct EcGroup<D, C> {
     rebuild_bytes: u64,
     obs: Option<EcObs>,
     tracer: Option<EcTracer>,
+    /// Reused buffer the outgoing frames are sealed into.
+    frame: Vec<u8>,
 }
 
 impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
@@ -257,6 +258,7 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
             rebuild_bytes: 0,
             obs: None,
             tracer: None,
+            frame: Vec::new(),
         }
     }
 
@@ -392,8 +394,7 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
         let old = self.device.read_block_vec(lba)?;
         self.device.write_block(lba, new)?;
 
-        let delta = self.codec.delta(&old, new);
-        let sparse = self.sparse.encode(&delta).to_bytes();
+        let delta = self.sparse.encode(&self.codec.delta(&old, new));
         // One trace per logical write; the hold (pending = 1) keeps it
         // open across the strip fan-out and is released after the last
         // acknowledgement is collected below.
@@ -423,26 +424,15 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
             } else {
                 self.codec.coefficient(role - k, col)
             };
-            let payload = Payload {
-                lba: Lba(stripe),
-                body: PayloadBody::StripDelta {
-                    coeff,
-                    data: sparse.clone(),
-                },
-            }
-            .to_bytes();
-            let sealed = seal_frame(self.nodes[node].epoch, &payload);
-            self.nodes[node]
-                .transport
-                .send(&sealed)
-                .map_err(ReplError::from)?;
-            let n = &mut self.nodes[node];
-            n.sent_bytes += sealed.len() as u64;
-            n.strip_writes += 1;
-            outcome.wire_bytes += sealed.len() as u64;
+            let sealed = self.send_sealed(node, |out| {
+                Payload::write_strip_delta_header(out, Lba(stripe), coeff);
+                delta.write_into(out);
+            })?;
+            self.nodes[node].strip_writes += 1;
+            outcome.wire_bytes += sealed as u64;
             if role >= k {
                 if let Some(obs) = &self.obs {
-                    obs.parity_update_bytes.add(sealed.len() as u64);
+                    obs.parity_update_bytes.add(sealed as u64);
                 }
             }
             if let (Some(t), Some(id)) = (&self.tracer, tid) {
@@ -453,7 +443,7 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
                 };
                 t.sink.add_pending(id, 1);
                 t.sink
-                    .event(id, stage, node as u32, t.clock.now_nanos(), sealed.len());
+                    .event(id, stage, node as u32, t.clock.now_nanos(), sealed);
             }
             await_from.push(node);
         }
@@ -494,24 +484,15 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
         stripe: u64,
     ) -> Result<(Vec<u8>, u64), ClusterError> {
         self.check_idx(node)?;
-        let req = seal_frame(self.nodes[node].epoch, &encode_strip_request(Lba(stripe)));
-        self.nodes[node]
-            .transport
-            .send(&req)
-            .map_err(ReplError::from)?;
-        let resp = self.nodes[node]
-            .transport
-            .recv_timeout(self.config.ack_timeout)
-            .map_err(ReplError::from)?;
-        let wire = (req.len() + resp.len()) as u64;
-        self.nodes[node].sent_bytes += req.len() as u64;
-        let (_epoch, sparse) = decode_strip_ack(&resp)?;
-        let strip = self
-            .sparse
-            .decode(sparse, self.block_size)
-            .map_err(ReplError::from)?
-            .to_dense(self.block_size);
-        Ok((strip, wire))
+        let request = encode_strip_request(Lba(stripe));
+        let sent = self.send_sealed(node, |out| out.extend_from_slice(&request))?;
+        let (sparse, bs) = (self.sparse, self.block_size);
+        let (strip, received) = self.await_response(node, |answer| match answer {
+            Response::Strip(image) => Some(sparse.decode(image, bs)),
+            _ => None,
+        })?;
+        let strip = strip.map_err(ReplError::from)?.to_dense(bs);
+        Ok((strip, (sent + received) as u64))
     }
 
     /// Rebuilds every strip node `lost` holds from `k` surviving
@@ -582,22 +563,12 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
                 .expect("reconstruct fills every missing strip");
             // Coefficient-1 delta over the replacement's zeroed disk:
             // the rebuilt image itself, minus its zero runs.
-            let sparse = self.sparse.encode(&rebuilt).to_bytes();
-            let payload = Payload {
-                lba: Lba(stripe),
-                body: PayloadBody::StripDelta {
-                    coeff: 1,
-                    data: sparse,
-                },
-            }
-            .to_bytes();
-            let sealed = seal_frame(self.nodes[lost].epoch, &payload);
-            self.nodes[lost]
-                .transport
-                .send(&sealed)
-                .map_err(ReplError::from)?;
-            self.nodes[lost].sent_bytes += sealed.len() as u64;
-            report.wire_bytes += sealed.len() as u64;
+            let image = self.sparse.encode(&rebuilt);
+            let sealed = self.send_sealed(lost, |out| {
+                Payload::write_strip_delta_header(out, Lba(stripe), 1);
+                image.write_into(out);
+            })?;
+            report.wire_bytes += sealed as u64;
             self.await_ack(lost)?;
             report.stripes += 1;
         }
@@ -666,35 +637,68 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
         }
     }
 
-    /// Waits for one acknowledgement from `node`, dropping responses
-    /// from generations before the node's current epoch.
+    /// Seals the payload `write` appends under `node`'s epoch into the
+    /// reused frame buffer and sends it. Returns the sealed length.
+    fn send_sealed(
+        &mut self,
+        node: usize,
+        write: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<usize, ClusterError> {
+        self.frame.clear();
+        let seal = seal_begin(self.nodes[node].epoch, &mut self.frame);
+        write(&mut self.frame);
+        seal.finish(&mut self.frame);
+        let n = &mut self.nodes[node];
+        n.transport.send(&self.frame).map_err(ReplError::from)?;
+        n.sent_bytes += self.frame.len() as u64;
+        Ok(self.frame.len())
+    }
+
+    /// Waits for one acknowledgement from `node`.
     fn await_ack(&mut self, node: usize) -> Result<(), ClusterError> {
+        self.await_response(node, |answer| (answer == Response::Ack).then_some(()))
+            .map(|_| ())
+    }
+
+    /// Waits for `node`'s answer to the frame last sealed under its
+    /// epoch and hands it to `take`, which picks out the expected kind
+    /// of answer; any other kind is misaligned traffic
+    /// ([`ReplError::MissingAck`]). Answers from older epochs are
+    /// dropped. Returns the picked value and the answer's wire length.
+    ///
+    /// A receive failure leaves the answer unconsumed — it may still
+    /// arrive — so it opens a new epoch: the late answer then
+    /// identifies itself as stale instead of answering the next
+    /// request.
+    fn await_response<T>(
+        &mut self,
+        node: usize,
+        take: impl FnOnce(Response<'_>) -> Option<T>,
+    ) -> Result<(T, usize), ClusterError> {
+        let epoch = self.nodes[node].epoch;
         loop {
-            let frame = self.nodes[node]
+            let frame = match self.nodes[node]
                 .transport
                 .recv_timeout(self.config.ack_timeout)
-                .map_err(ReplError::from)?;
-            let ack = decode_ack(&frame).map_err(|_| ReplError::MissingAck {
-                replica: node,
-                got: frame.first().copied(),
-            })?;
-            if ack.epoch < self.nodes[node].epoch && ack.status != NAK_CORRUPT {
-                continue;
-            }
-            return match ack.status {
-                ACK => Ok(()),
-                NAK => Err(ReplError::Nak { replica: node }.into()),
-                NAK_CORRUPT => Err(ReplError::ChecksumMismatch {
-                    expected: 0,
-                    got: 0,
+            {
+                Ok(frame) => frame,
+                Err(e) => {
+                    self.nodes[node].epoch += 1;
+                    return Err(ReplError::from(e).into());
                 }
-                .into()),
-                other => Err(ReplError::MissingAck {
-                    replica: node,
-                    got: Some(other),
-                }
-                .into()),
             };
+            match classify_response(&frame, node, epoch)? {
+                Response::Stale => {}
+                answer => {
+                    return take(answer).map(|t| (t, frame.len())).ok_or_else(|| {
+                        ReplError::MissingAck {
+                            replica: node,
+                            got: frame.first().copied(),
+                        }
+                        .into()
+                    })
+                }
+            }
         }
     }
 }
@@ -902,6 +906,69 @@ mod tests {
             let want = h.group.device().read_block_vec(Lba(lba)).unwrap();
             let got = h.group.decode_logical(Lba(lba)).unwrap();
             assert_eq!(got, want, "lba {lba}");
+        }
+        finish(h);
+    }
+
+    /// A transport whose next `recv_timeout` times out while leaving
+    /// the queued answer in place: a slow answer, not a lost one.
+    struct LateOnce {
+        inner: Box<dyn Transport>,
+        fail_next: Arc<std::sync::atomic::AtomicBool>,
+    }
+
+    impl Transport for LateOnce {
+        fn send(&self, msg: &[u8]) -> Result<(), prins_net::NetError> {
+            self.inner.send(msg)
+        }
+
+        fn recv(&self) -> Result<Vec<u8>, prins_net::NetError> {
+            self.inner.recv()
+        }
+
+        fn recv_timeout(&self, timeout: Duration) -> Result<Vec<u8>, prins_net::NetError> {
+            if self
+                .fail_next
+                .swap(false, std::sync::atomic::Ordering::SeqCst)
+            {
+                return Err(prins_net::NetError::Timeout);
+            }
+            self.inner.recv_timeout(timeout)
+        }
+
+        fn meter(&self) -> &Arc<prins_net::TrafficMeter> {
+            self.inner.meter()
+        }
+    }
+
+    #[test]
+    fn a_late_strip_answer_never_answers_the_next_request() {
+        let mut h = harness(2);
+        random_writes(&mut h, 14, 40);
+        let want: Vec<Vec<u8>> = (0..2)
+            .map(|stripe| h.devices[0].read_block_vec(Lba(stripe)).unwrap())
+            .collect();
+        assert_ne!(want[0], want[1], "node 0's two strips must differ");
+
+        let fail_next = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let (placeholder, _) = channel_pair(LinkModel::t1());
+        let inner = std::mem::replace(&mut h.group.nodes[0].transport, Box::new(placeholder));
+        h.group.nodes[0].transport = Box::new(LateOnce {
+            inner,
+            fail_next: Arc::clone(&fail_next),
+        });
+
+        // Stripe 0's answer is late: the fetch fails, the answer stays
+        // queued on the link.
+        fail_next.store(true, std::sync::atomic::Ordering::SeqCst);
+        assert!(h.group.fetch_strip(0, 0).is_err());
+        // The next request must never be answered with stripe 0's strip.
+        if let Ok((strip, _)) = h.group.fetch_strip(0, 1) {
+            assert_ne!(
+                strip, want[0],
+                "stripe 0's late answer was taken for stripe 1"
+            );
+            assert_eq!(strip, want[1]);
         }
         finish(h);
     }

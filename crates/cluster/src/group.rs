@@ -12,9 +12,8 @@ use prins_obs::{
 };
 use prins_parity::{SparseCodec, SparseParity};
 use prins_repl::{
-    decode_ack, decode_read_ack, encode_digest_request, encode_read_request, seal_frame, AckFrame,
-    Payload, PayloadBody, ReplError, ReplicationMode, Replicator, ACK, DIGEST_ACK, NAK,
-    NAK_CORRUPT, READ_ACK,
+    classify_response, encode_digest_request, encode_read_request, seal_frame_into, Payload,
+    ReplError, ReplicationMode, Replicator, Response, NAK_CORRUPT,
 };
 use prins_trap::{TrapDevice, TrapLog};
 
@@ -312,11 +311,11 @@ impl Default for ClusterConfig {
 /// A primary replicating to a set of replicas that can fail, lag, and
 /// rejoin.
 ///
-/// Unlike [`prins_repl::ReplicationGroup`], which aborts on the first
-/// replica error, a `ClusterGroup` *degrades*: a failing replica moves
-/// through the [`ReplicaState`] lifecycle, its missed writes are
-/// recorded in a per-replica [`DirtyMap`], and the write succeeds as
-/// long as [`ClusterConfig::write_quorum`] replicas acknowledge it.
+/// A `ClusterGroup` never aborts on a replica error; it *degrades*: a
+/// failing replica moves through the [`ReplicaState`] lifecycle, its
+/// missed writes are recorded in a per-replica [`DirtyMap`], and the
+/// write succeeds as long as [`ClusterConfig::write_quorum`] replicas
+/// acknowledge it.
 /// The primary's own [`TrapLog`] doubles as the delta-resync source.
 pub struct ClusterGroup<D> {
     device: TrapDevice<D>,
@@ -327,6 +326,12 @@ pub struct ClusterGroup<D> {
     tracer: Option<ClusterTracer>,
     /// Round-robin cursor for offloaded reads.
     next_read: usize,
+    /// Reused buffers: a block image read off the primary (the old
+    /// image of a write, or a resync's full image), the payload staged
+    /// for sending, and its sealed frame.
+    image: Vec<u8>,
+    payload: Vec<u8>,
+    frame: Vec<u8>,
 }
 
 impl<D: BlockDevice> ClusterGroup<D> {
@@ -344,6 +349,9 @@ impl<D: BlockDevice> ClusterGroup<D> {
             obs: None,
             tracer: None,
             next_read: 0,
+            image: Vec::new(),
+            payload: Vec::new(),
+            frame: Vec::new(),
         }
     }
 
@@ -445,10 +453,12 @@ impl<D: BlockDevice> ClusterGroup<D> {
     ///   quorum acknowledged — the primary and the acknowledging
     ///   replicas have applied the write regardless.
     pub fn write(&mut self, lba: Lba, new: &[u8]) -> Result<WriteOutcome, ClusterError> {
-        let old = self.device.read_block_vec(lba)?;
+        self.read_image(lba)?;
         self.device.write_block(lba, new)?;
         let seq = self.log().current_seq();
-        let payload = self.replicator.encode_write(lba, &old, new);
+        self.payload.clear();
+        self.replicator
+            .encode_write_into(lba, &self.image, new, &mut self.payload);
 
         // One trace per cluster write; the hold (pending = 1) keeps it
         // open across the replica fan-out and is released at the end of
@@ -470,9 +480,8 @@ impl<D: BlockDevice> ClusterGroup<D> {
             match self.route_write(idx, lba, seq) {
                 Route::Send => {
                     let epoch = self.replicas[idx].epoch;
-                    let sealed = seal_frame(epoch, &payload);
-                    match self.replicas[idx].transport.send(&sealed) {
-                        Ok(()) => {
+                    match self.send_payload(idx) {
+                        Ok(sealed) => {
                             if let (Some(t), Some(id)) = (&self.tracer, tid) {
                                 t.sink.add_pending(id, 1);
                                 t.sink.event(
@@ -480,11 +489,11 @@ impl<D: BlockDevice> ClusterGroup<D> {
                                     TraceStage::ReplicaSend,
                                     idx as u32,
                                     t.now(),
-                                    sealed.len(),
+                                    sealed,
                                 );
                             }
                             let r = &mut self.replicas[idx];
-                            r.foreground_bytes += sealed.len() as u64;
+                            r.foreground_bytes += sealed as u64;
                             r.outstanding.push_back((lba, seq, epoch, tid));
                         }
                         // The frame never left: the replica certainly
@@ -649,12 +658,15 @@ impl<D: BlockDevice> ClusterGroup<D> {
             return Ok(None);
         }
         let epoch = self.replicas[idx].epoch;
-        let request = seal_frame(epoch, &encode_read_request(lba));
-        if let Err(e) = self.replicas[idx].transport.send(&request) {
-            self.note_failure(idx, None, false);
-            return Err(ReplError::from(e).into());
+        self.payload.clear();
+        self.payload.extend_from_slice(&encode_read_request(lba));
+        match self.send_payload(idx) {
+            Ok(sealed) => self.replicas[idx].read_bytes += sealed as u64,
+            Err(e) => {
+                self.note_failure(idx, None, false);
+                return Err(e.into());
+            }
         }
-        self.replicas[idx].read_bytes += request.len() as u64;
         // Point the stale-epoch drop sites in the response loop at this
         // read's trace (the drain above cleared any previous target).
         if let Some(t) = &mut self.tracer {
@@ -683,68 +695,15 @@ impl<D: BlockDevice> ClusterGroup<D> {
     }
 
     /// Waits for replica `idx`'s answer to a read request sealed under
-    /// `expected_epoch`, dropping stale-epoch responses on sight.
+    /// `expected_epoch` and expands the block image it carries.
     fn await_read(&mut self, idx: usize, expected_epoch: u64) -> Result<Vec<u8>, ClusterError> {
         let bs = self.device.geometry().block_size().bytes();
-        loop {
-            let frame = self.replicas[idx]
-                .transport
-                .recv_timeout(self.config.ack_timeout)
-                .map_err(ReplError::from)?;
-            if frame.first() == Some(&READ_ACK) {
-                let (epoch, sparse) = decode_read_ack(&frame)?;
-                if epoch < expected_epoch {
-                    // A read answer stranded from an older generation —
-                    // pre-rejoin state. Drop it and keep waiting.
-                    if let Some(obs) = &self.obs {
-                        obs.wrong_epoch_acks.inc();
-                    }
-                    if let Some(t) = &self.tracer {
-                        if let Some(id) = t.awaiting {
-                            t.sink.mark_wrong_epoch(id, idx as u32, t.now());
-                        }
-                    }
-                    continue;
-                }
-                let image = SparseCodec::default()
-                    .decode(sparse, bs)
-                    .map_err(ReplError::from)?
-                    .to_dense(bs);
-                return Ok(image);
-            }
-            let ack = decode_ack(&frame).map_err(|_| ReplError::MissingAck {
-                replica: idx,
-                got: frame.first().copied(),
-            })?;
-            if ack.status == NAK_CORRUPT {
-                // The replica refused: damaged request or rotten media.
-                if let Some(obs) = &self.obs {
-                    obs.checksum_failures.inc();
-                }
-                return Err(ReplError::ChecksumMismatch {
-                    expected: 0,
-                    got: 0,
-                }
-                .into());
-            }
-            if ack.epoch < expected_epoch {
-                // A stranded write ack surfacing late; drop it.
-                if let Some(obs) = &self.obs {
-                    obs.wrong_epoch_acks.inc();
-                }
-                if let Some(t) = &self.tracer {
-                    if let Some(id) = t.awaiting {
-                        t.sink.mark_wrong_epoch(id, idx as u32, t.now());
-                    }
-                }
-                continue;
-            }
-            return Err(ReplError::MissingAck {
-                replica: idx,
-                got: Some(ack.status),
-            }
-            .into());
-        }
+        self.await_response(idx, expected_epoch, |answer| match answer {
+            Response::Read(sparse) => Some(SparseCodec::default().decode(sparse, bs)),
+            _ => None,
+        })?
+        .map(|image| image.to_dense(bs))
+        .map_err(|e| ReplError::from(e).into())
     }
 
     /// Opens a new response generation on every replica — the migration
@@ -927,30 +886,29 @@ impl<D: BlockDevice> ClusterGroup<D> {
                 ResyncFrame::Full(lba) => self.replicas[idx].dirty.missed_from(*lba).unwrap_or(0),
                 ResyncFrame::Parity(_, seq, _) => *seq,
             };
-            let payload = match &frame {
+            match &frame {
                 ResyncFrame::Full(lba) => {
                     if let Some(plan) = self.replicas[idx].resync.as_mut() {
                         plan.pending_full.remove(&lba.index());
                     }
-                    Payload {
-                        lba: *lba,
-                        body: PayloadBody::Full(self.device.read_block_vec(*lba)?),
-                    }
-                    .to_bytes()
+                    self.read_image(*lba)?;
+                    self.payload.clear();
+                    Payload::write_full(&mut self.payload, *lba, &self.image);
                 }
-                ResyncFrame::Parity(lba, _, parity) => Payload {
-                    lba: *lba,
-                    body: PayloadBody::Parity(parity.to_bytes()),
+                ResyncFrame::Parity(lba, _, parity) => {
+                    self.payload.clear();
+                    Payload::write_parity_header(&mut self.payload, *lba);
+                    parity.write_into(&mut self.payload);
                 }
-                .to_bytes(),
-            };
-            let sealed = seal_frame(epoch, &payload);
-            if let Err(e) = self.replicas[idx].transport.send(&sealed) {
-                self.abort_resync(idx);
-                self.publish_replica_gauges(idx);
-                return Err(ClusterError::from(ReplError::from(e)));
             }
-            self.replicas[idx].resync_bytes += sealed.len() as u64;
+            match self.send_payload(idx) {
+                Ok(sealed) => self.replicas[idx].resync_bytes += sealed as u64,
+                Err(e) => {
+                    self.abort_resync(idx);
+                    self.publish_replica_gauges(idx);
+                    return Err(e.into());
+                }
+            }
             in_flight.push((frame, mark_from));
         }
 
@@ -1088,12 +1046,15 @@ impl<D: BlockDevice> ClusterGroup<D> {
         let mut divergent: Vec<Lba> = Vec::new();
         let epoch = self.replicas[idx].epoch;
         for &lba in lbas {
-            let probe = seal_frame(epoch, &encode_digest_request(lba));
-            if let Err(e) = self.replicas[idx].transport.send(&probe) {
-                self.note_failure(idx, None, false);
-                return Err(ClusterError::from(ReplError::from(e)));
+            self.payload.clear();
+            self.payload.extend_from_slice(&encode_digest_request(lba));
+            match self.send_payload(idx) {
+                Ok(sealed) => self.replicas[idx].scrub_bytes += sealed as u64,
+                Err(e) => {
+                    self.note_failure(idx, None, false);
+                    return Err(e.into());
+                }
             }
-            self.replicas[idx].scrub_bytes += probe.len() as u64;
             let digest = match self.await_digest(idx, epoch) {
                 Ok(digest) => digest,
                 Err(e) => {
@@ -1301,12 +1262,31 @@ impl<D: BlockDevice> ClusterGroup<D> {
         }
     }
 
-    /// Waits for one ACK/NAK frame from replica `idx`, recording the
-    /// round-trip wait (and any NAK / collection failure) in the
-    /// attached registry.
+    /// Reads the primary's block at `lba` into the reused `image`
+    /// buffer.
+    fn read_image(&mut self, lba: Lba) -> Result<(), ClusterError> {
+        self.image
+            .resize(self.device.geometry().block_size().bytes(), 0);
+        self.device.read_block(lba, &mut self.image)?;
+        Ok(())
+    }
+
+    /// Seals the staged payload under replica `idx`'s epoch into the
+    /// reused frame buffer and sends it. Returns the sealed length.
+    fn send_payload(&mut self, idx: usize) -> Result<usize, ReplError> {
+        self.frame.clear();
+        seal_frame_into(self.replicas[idx].epoch, &self.payload, &mut self.frame);
+        self.replicas[idx].transport.send(&self.frame)?;
+        Ok(self.frame.len())
+    }
+
+    /// Waits for one ACK from replica `idx`, recording the round-trip
+    /// wait (and any NAK / collection failure) in the attached registry.
     fn await_ack(&mut self, idx: usize, expected_epoch: u64) -> Result<(), ClusterError> {
         let started = self.obs.as_ref().map(|o| o.clock.now_nanos());
-        let result = self.await_ack_inner(idx, expected_epoch);
+        let result = self.await_response(idx, expected_epoch, |answer| {
+            (answer == Response::Ack).then_some(())
+        });
         if let (Some(obs), Some(t0)) = (&self.obs, started) {
             let now = obs.clock.now_nanos();
             obs.ack_rtt.record(now.saturating_sub(t0));
@@ -1325,108 +1305,61 @@ impl<D: BlockDevice> ClusterGroup<D> {
         result
     }
 
-    /// Waits for one acknowledgement from replica `idx` for a frame
-    /// sealed under `expected_epoch`, deterministically dropping any
-    /// response from an older generation — a stale ack for a write
-    /// already booked as failed.
-    fn await_ack_inner(&mut self, idx: usize, expected_epoch: u64) -> Result<(), ClusterError> {
-        loop {
-            match self.recv_response(idx, expected_epoch)? {
-                None => continue,
-                Some(ack) => {
-                    return match ack.status {
-                        ACK => Ok(()),
-                        NAK => Err(ReplError::Nak { replica: idx }.into()),
-                        NAK_CORRUPT => {
-                            // The frame was damaged in flight; the
-                            // replica rejected it before applying
-                            // anything. (The digest values live on the
-                            // replica — the status byte is the signal.)
-                            if let Some(obs) = &self.obs {
-                                obs.checksum_failures.inc();
-                            }
-                            Err(ReplError::ChecksumMismatch {
-                                expected: 0,
-                                got: 0,
-                            }
-                            .into())
-                        }
-                        // A digest ack answering a write is misaligned
-                        // traffic.
-                        other => Err(ReplError::MissingAck {
-                            replica: idx,
-                            got: Some(other),
-                        }
-                        .into()),
-                    };
-                }
-            }
-        }
+    /// Waits for one digest response from replica `idx`.
+    fn await_digest(&mut self, idx: usize, expected_epoch: u64) -> Result<u32, ClusterError> {
+        self.await_response(idx, expected_epoch, |answer| match answer {
+            Response::Digest(digest) => Some(digest),
+            _ => None,
+        })
     }
 
-    /// Receives and decodes one response frame from replica `idx`.
-    /// Returns `None` for a stale response (older epoch than the frame
-    /// being collected) — the caller should keep waiting.
-    fn recv_response(
+    /// Waits for replica `idx`'s answer to a frame sealed under
+    /// `expected_epoch` and hands it to `take`, which picks out the
+    /// expected kind of answer; any other kind is misaligned traffic
+    /// ([`ReplError::MissingAck`]). Answers from an older generation —
+    /// responses stranded by a failure or rejoin, already booked — are
+    /// dropped on sight, counted in `wrong_epoch_acks` and marked on the
+    /// awaited trace. A corrupt NAK counts in `checksum_failures`.
+    fn await_response<T>(
         &mut self,
         idx: usize,
         expected_epoch: u64,
-    ) -> Result<Option<AckFrame>, ClusterError> {
-        let frame = self.replicas[idx]
-            .transport
-            .recv_timeout(self.config.ack_timeout)
-            .map_err(ReplError::from)?;
-        let ack = decode_ack(&frame).map_err(|_| ReplError::MissingAck {
-            replica: idx,
-            got: frame.first().copied(),
-        })?;
-        // A corrupted frame cannot echo the epoch it was sealed under —
-        // the tag was destroyed in flight, so the replica answers
-        // NAK_CORRUPT with whatever epoch it last saw. Exempting
-        // NAK_CORRUPT from the stale filter is the conservative choice:
-        // a genuinely stale corrupt NAK at worst marks one in-flight
-        // frame uncertain (an extra resync), while dropping a current
-        // one would shift FIFO credit onto the *next* ack and silently
-        // credit the rejected frame.
-        if ack.epoch < expected_epoch && ack.status != NAK_CORRUPT {
-            if let Some(obs) = &self.obs {
-                obs.wrong_epoch_acks.inc();
-            }
-            if let Some(t) = &self.tracer {
-                if let Some(id) = t.awaiting {
-                    t.sink.mark_wrong_epoch(id, idx as u32, t.now());
-                }
-            }
-            return Ok(None);
-        }
-        Ok(Some(ack))
-    }
-
-    /// Waits for one digest response from replica `idx`, with the same
-    /// stale-epoch dropping as [`await_ack_inner`](Self::await_ack_inner).
-    fn await_digest(&mut self, idx: usize, expected_epoch: u64) -> Result<u32, ClusterError> {
+        take: impl FnOnce(Response<'_>) -> Option<T>,
+    ) -> Result<T, ClusterError> {
         loop {
-            match self.recv_response(idx, expected_epoch)? {
-                None => continue,
-                Some(ack) => {
-                    return match (ack.status, ack.digest) {
-                        (DIGEST_ACK, Some(digest)) => Ok(digest),
-                        (NAK_CORRUPT, _) => {
-                            if let Some(obs) = &self.obs {
-                                obs.checksum_failures.inc();
-                            }
-                            Err(ReplError::ChecksumMismatch {
-                                expected: 0,
-                                got: 0,
-                            }
-                            .into())
+            let frame = self.replicas[idx]
+                .transport
+                .recv_timeout(self.config.ack_timeout)
+                .map_err(ReplError::from)?;
+            match classify_response(&frame, idx, expected_epoch) {
+                Ok(Response::Stale) => {
+                    if let Some(obs) = &self.obs {
+                        obs.wrong_epoch_acks.inc();
+                    }
+                    if let Some(t) = &self.tracer {
+                        if let Some(id) = t.awaiting {
+                            t.sink.mark_wrong_epoch(id, idx as u32, t.now());
                         }
-                        (other, _) => Err(ReplError::MissingAck {
+                    }
+                }
+                Ok(answer) => {
+                    return take(answer).ok_or_else(|| {
+                        ReplError::MissingAck {
                             replica: idx,
-                            got: Some(other),
+                            got: frame.first().copied(),
                         }
-                        .into()),
-                    };
+                        .into()
+                    })
+                }
+                Err(e) => {
+                    // The digest values of a corrupt NAK live on the
+                    // replica — the status byte is the signal.
+                    let corrupt_nak = frame.first() == Some(&NAK_CORRUPT)
+                        && matches!(e, ReplError::ChecksumMismatch { .. });
+                    if let (true, Some(obs)) = (corrupt_nak, &self.obs) {
+                        obs.checksum_failures.inc();
+                    }
+                    return Err(e.into());
                 }
             }
         }

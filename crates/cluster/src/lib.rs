@@ -19,8 +19,8 @@
 //!   parity-log suffix, the PRINS idea applied to recovery: the same
 //!   sparse parities that made foreground replication cheap make
 //!   catch-up cheap,
-//! * [`ShardMap`] / [`ShardedCluster`] — LBA-range sharding across
-//!   replica groups, with placement feeding the MVA model inputs.
+//! * [`RendezvousPlacement`] / [`ShardedCluster`] — weighted rendezvous
+//!   sharding across replica groups, with live range migration.
 //!
 //! Resync runs *concurrently* with foreground writes: the primary
 //! keeps writing between [`ClusterGroup::resync_step`] calls, new
@@ -81,5 +81,5 @@ pub use group::{
     WriteOutcome,
 };
 pub use lifecycle::ReplicaState;
-pub use placement::{Placement, RendezvousPlacement};
-pub use shard::{MigrationStatus, ShardMap, ShardedCluster};
+pub use placement::RendezvousPlacement;
+pub use shard::{MigrationStatus, ShardedCluster};

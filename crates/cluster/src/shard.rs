@@ -1,10 +1,9 @@
-//! LBA-range sharding across replica groups.
+//! Sharding a volume across replica groups.
 //!
-//! A large volume is split into contiguous LBA ranges, each served by
-//! its own replica group ([`ClusterGroup`]). Placement determines load:
-//! the per-group write counts a trace induces become the per-station
-//! service demands of the paper's closed queueing network, so shard
-//! placement feeds directly into the MVA model.
+//! A large volume is spread over several replica groups
+//! ([`ClusterGroup`]), each a full-size device serving the blocks a
+//! [`RendezvousPlacement`] assigns it. Because every group keeps volume
+//! addresses, ranges can move between groups live.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -12,114 +11,8 @@ use std::sync::Arc;
 use prins_block::{BlockDevice, Lba};
 use prins_net::Clock;
 use prins_obs::{Counter, Event, EventKind, Registry, TraceId, TraceSink, TraceStage};
-use prins_queueing::Mva;
 
-use crate::{ClusterError, ClusterGroup, Placement, ReadOutcome, WriteOutcome};
-
-/// A partition of `[0, num_blocks)` into contiguous per-group ranges.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ShardMap {
-    /// `starts[g]..starts[g + 1]` is group `g`'s LBA range.
-    starts: Vec<u64>,
-    num_blocks: u64,
-}
-
-impl ShardMap {
-    /// Splits `num_blocks` as evenly as possible across `groups`
-    /// ranges (the first `num_blocks % groups` ranges get one extra
-    /// block).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `groups == 0` or `num_blocks < groups as u64`.
-    pub fn even(num_blocks: u64, groups: usize) -> Self {
-        assert!(groups > 0, "at least one group");
-        assert!(
-            num_blocks >= groups as u64,
-            "need at least one block per group"
-        );
-        let base = num_blocks / groups as u64;
-        let extra = num_blocks % groups as u64;
-        let mut starts = Vec::with_capacity(groups + 1);
-        let mut at = 0;
-        for g in 0..groups as u64 {
-            starts.push(at);
-            at += base + u64::from(g < extra);
-        }
-        starts.push(num_blocks);
-        Self { starts, num_blocks }
-    }
-
-    /// Number of groups.
-    pub fn group_count(&self) -> usize {
-        self.starts.len() - 1
-    }
-
-    /// Total blocks across all shards.
-    pub fn num_blocks(&self) -> u64 {
-        self.num_blocks
-    }
-
-    /// The group serving `lba`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lba` is out of range.
-    pub fn group_for(&self, lba: Lba) -> usize {
-        assert!(lba.index() < self.num_blocks, "lba {lba:?} out of range");
-        // partition_point returns the count of starts <= lba; the last
-        // such range contains it.
-        self.starts.partition_point(|&s| s <= lba.index()) - 1
-    }
-
-    /// Group `g`'s LBA range as `start..end`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g` is out of range.
-    pub fn range(&self, g: usize) -> std::ops::Range<u64> {
-        self.starts[g]..self.starts[g + 1]
-    }
-
-    /// Translates a volume LBA to the containing group's local LBA.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lba` is out of range.
-    pub fn local_lba(&self, lba: Lba) -> (usize, Lba) {
-        let g = self.group_for(lba);
-        (g, Lba(lba.index() - self.starts[g]))
-    }
-
-    /// Counts writes per group for a stream of write addresses.
-    pub fn load_counts<I: IntoIterator<Item = Lba>>(&self, writes: I) -> Vec<u64> {
-        let mut counts = vec![0u64; self.group_count()];
-        for lba in writes {
-            counts[self.group_for(lba)] += 1;
-        }
-        counts
-    }
-
-    /// Per-group MVA service demands: each group is one station of the
-    /// closed network, and its demand is the per-write service time
-    /// weighted by the fraction of the write stream its shard absorbs.
-    pub fn service_demands(&self, loads: &[u64], per_write_service: f64) -> Vec<f64> {
-        let total: u64 = loads.iter().sum();
-        if total == 0 {
-            return vec![0.0; self.group_count()];
-        }
-        loads
-            .iter()
-            .map(|&l| per_write_service * (l as f64 / total as f64))
-            .collect()
-    }
-
-    /// Builds the MVA model for this placement: think time `z` and one
-    /// station per group with load-weighted service demands.
-    pub fn mva(&self, z: f64, loads: &[u64], per_write_service: f64) -> Mva {
-        Mva::new(z, self.service_demands(loads, per_write_service))
-    }
-}
+use crate::{ClusterError, ClusterGroup, ReadOutcome, RendezvousPlacement, WriteOutcome};
 
 /// An in-progress live migration of one LBA range between groups.
 #[derive(Clone, Debug)]
@@ -169,20 +62,18 @@ struct MigrateTracer {
 
 /// A volume sharded across several [`ClusterGroup`]s.
 ///
-/// Writes and reads are routed by a [`Placement`] policy — contiguous
-/// ranges ([`ShardMap`], the legacy layout) or weighted rendezvous
-/// hashing ([`RendezvousPlacement`](crate::RendezvousPlacement)) —
-/// with the LBA translated to the group-local address space where the
-/// placement requires it.
+/// Writes and reads are routed by weighted rendezvous hashing
+/// ([`RendezvousPlacement`]); every group's device holds the whole
+/// volume, so a block keeps its address on whichever group owns it.
 ///
-/// Identity-addressed placements additionally support **live
-/// migration**: [`migrate_start`](Self::migrate_start) copies a range
+/// That is what makes **live migration** possible:
+/// [`migrate_start`](Self::migrate_start) copies a range
 /// to another group under foreground writes (which dual-dispatch to
 /// both groups until cutover), and the cutover bumps the source
 /// group's response epochs so acknowledgements stranded mid-move drop
 /// deterministically instead of being credited to post-move traffic.
-pub struct ShardedCluster<D, P = ShardMap> {
-    placement: P,
+pub struct ShardedCluster<D> {
+    placement: RendezvousPlacement,
     groups: Vec<ClusterGroup<D>>,
     /// Ownership overrides from completed migrations, latest wins.
     overrides: Vec<(Range<u64>, usize)>,
@@ -191,19 +82,17 @@ pub struct ShardedCluster<D, P = ShardMap> {
     tracer: Option<MigrateTracer>,
 }
 
-impl<D: BlockDevice, P: Placement> ShardedCluster<D, P> {
+impl<D: BlockDevice> ShardedCluster<D> {
     /// Assembles a sharded volume.
     ///
     /// # Panics
     ///
     /// Panics if the group count differs from the placement's, or a
-    /// group's device does not have the block count the placement
-    /// requires (the shard's range for [`ShardMap`], the full volume
-    /// for identity-addressed placements).
-    pub fn new(placement: P, groups: Vec<ClusterGroup<D>>) -> Self {
+    /// group's device does not hold the whole volume.
+    pub fn new(placement: RendezvousPlacement, groups: Vec<ClusterGroup<D>>) -> Self {
         assert_eq!(groups.len(), placement.group_count(), "one group per shard");
         for (g, group) in groups.iter().enumerate() {
-            let want = placement.device_blocks(g);
+            let want = placement.num_blocks();
             let have = group.device().geometry().num_blocks();
             assert_eq!(
                 have, want,
@@ -260,7 +149,7 @@ impl<D: BlockDevice, P: Placement> ShardedCluster<D, P> {
     }
 
     /// The placement policy.
-    pub fn placement(&self) -> &P {
+    pub fn placement(&self) -> &RendezvousPlacement {
         &self.placement
     }
 
@@ -299,17 +188,6 @@ impl<D: BlockDevice, P: Placement> ShardedCluster<D, P> {
         self.placement.group_for(lba)
     }
 
-    /// Routes `lba` to `(owning group, group-local LBA)`.
-    fn locate(&self, lba: Lba) -> (usize, Lba) {
-        for (range, g) in self.overrides.iter().rev() {
-            if range.contains(&lba.index()) {
-                // Overrides only exist under identity addressing.
-                return (*g, lba);
-            }
-        }
-        self.placement.local_lba(lba)
-    }
-
     /// Routes one write to the owning shard. While a migration covers
     /// `lba`, the write dual-dispatches: the target group applies it
     /// too, so blocks already copied stay current until cutover.
@@ -319,12 +197,10 @@ impl<D: BlockDevice, P: Placement> ShardedCluster<D, P> {
     /// As [`ClusterGroup::write`] (a dual-dispatch failure on the
     /// migration target surfaces like any replication failure).
     pub fn write(&mut self, lba: Lba, new: &[u8]) -> Result<WriteOutcome, ClusterError> {
-        let (g, local) = self.locate(lba);
-        let outcome = self.groups[g].write(local, new)?;
+        let g = self.owner(lba);
+        let outcome = self.groups[g].write(lba, new)?;
         if let Some(m) = &self.migration {
             if m.range.contains(&lba.index()) {
-                // Identity addressing (checked at migrate_start): the
-                // target group uses the same LBA.
                 self.groups[m.to].write(lba, new)?;
             }
         }
@@ -339,8 +215,8 @@ impl<D: BlockDevice, P: Placement> ShardedCluster<D, P> {
     ///
     /// As [`ClusterGroup::read`].
     pub fn read(&mut self, lba: Lba) -> Result<ReadOutcome, ClusterError> {
-        let (g, local) = self.locate(lba);
-        self.groups[g].read(local)
+        let g = self.owner(lba);
+        self.groups[g].read(lba)
     }
 
     /// Snapshot of the in-progress migration, if any.
@@ -361,23 +237,16 @@ impl<D: BlockDevice, P: Placement> ShardedCluster<D, P> {
     ///
     /// # Errors
     ///
-    /// [`ClusterError::Migration`] if the placement is not
-    /// identity-addressed, a migration is already in progress, the
-    /// range is empty/out of bounds, the groups are invalid, or any
-    /// block in `range` is not currently owned by `from`.
+    /// [`ClusterError::Migration`] if a migration is already in
+    /// progress, the range is empty/out of bounds, the groups are
+    /// invalid, or any block in `range` is not currently owned by
+    /// `from`.
     pub fn migrate_start(
         &mut self,
         range: Range<u64>,
         from: usize,
         to: usize,
     ) -> Result<(), ClusterError> {
-        if !self.placement.identity_addressed() {
-            return Err(ClusterError::Migration(
-                "placement is not identity-addressed: blocks cannot keep \
-                 their address on the target group"
-                    .into(),
-            ));
-        }
         if self.migration.is_some() {
             return Err(ClusterError::Migration(
                 "a migration is already in progress".into(),
@@ -520,7 +389,7 @@ impl<D: BlockDevice, P: Placement> ShardedCluster<D, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ClusterConfig, RendezvousPlacement};
+    use crate::ClusterConfig;
     use prins_block::{BlockSize, MemDevice};
 
     /// A replica-less group: primary image only — enough to exercise
@@ -531,15 +400,6 @@ mod tests {
             ClusterConfig::default(),
             vec![],
         )
-    }
-
-    #[test]
-    fn shard_map_cluster_rejects_migration() {
-        let mut cluster = ShardedCluster::new(ShardMap::even(8, 2), vec![group(4), group(4)]);
-        assert!(matches!(
-            cluster.migrate_start(0..1, 0, 1),
-            Err(ClusterError::Migration(_))
-        ));
     }
 
     #[test]
@@ -592,54 +452,5 @@ mod tests {
             c.migrate_step(0),
             Ok(1) // zero-block step: copy stands still, no cutover
         ));
-    }
-
-    #[test]
-    fn even_split_covers_everything_once() {
-        let map = ShardMap::even(10, 3); // 4, 3, 3
-        assert_eq!(map.group_count(), 3);
-        assert_eq!(map.range(0), 0..4);
-        assert_eq!(map.range(1), 4..7);
-        assert_eq!(map.range(2), 7..10);
-        for lba in 0..10u64 {
-            let g = map.group_for(Lba(lba));
-            assert!(map.range(g).contains(&lba));
-        }
-        assert_eq!(map.local_lba(Lba(5)), (1, Lba(1)));
-        assert_eq!(map.local_lba(Lba(0)), (0, Lba(0)));
-        assert_eq!(map.local_lba(Lba(9)), (2, Lba(2)));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_range_lba_panics() {
-        ShardMap::even(10, 2).group_for(Lba(10));
-    }
-
-    #[test]
-    fn load_counts_and_demands() {
-        let map = ShardMap::even(8, 2);
-        let writes = [0u64, 1, 2, 3, 3, 3, 4, 7].map(Lba);
-        let loads = map.load_counts(writes);
-        assert_eq!(loads, vec![6, 2]);
-        let demands = map.service_demands(&loads, 0.004);
-        assert!((demands[0] - 0.003).abs() < 1e-12);
-        assert!((demands[1] - 0.001).abs() < 1e-12);
-        assert_eq!(map.service_demands(&[0, 0], 0.004), vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn placement_feeds_mva() {
-        let map = ShardMap::even(100, 4);
-        // Uniform load: four equal stations.
-        let mva = map.mva(0.1, &[25, 25, 25, 25], 0.004);
-        let balanced = mva.solve(32).throughput;
-        // Skewed load: one hot shard bottlenecks the network.
-        let mva = map.mva(0.1, &[85, 5, 5, 5], 0.004);
-        let skewed = mva.solve(32).throughput;
-        assert!(
-            balanced > skewed,
-            "balanced {balanced} should beat skewed {skewed}"
-        );
     }
 }

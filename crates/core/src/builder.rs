@@ -3,12 +3,15 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use prins_block::BlockDevice;
+use prins_block::{BlockDevice, Lba};
 use prins_net::{Clock, Transport, WallClock};
 use prins_policy::{AdaptiveReplicator, PolicyConfig, WorkloadPhase};
-use prins_repl::{AckPolicy, ReplError, ReplicationGroup, ReplicationMode, Replicator};
+use prins_repl::{
+    classify_response, seal_begin, AckPolicy, Payload, ReplError, ReplicationMode, Replicator,
+    Response,
+};
 
-use crate::pipeline::{PipelineConfig, PipelineTuning};
+use crate::pipeline::{PipelineConfig, PipelineTuning, LANE_EPOCH};
 use crate::PrinsEngine;
 
 /// Configures and starts a [`PrinsEngine`].
@@ -271,9 +274,9 @@ impl EngineBuilder {
     /// Pushes a full image of the local device to every replica before
     /// starting (the paper's initial sync), then builds the engine.
     ///
-    /// The sync runs over a plain [`ReplicationGroup`] (windowed by the
-    /// configured ack policy); the transports are then handed to the
-    /// engine's pipeline.
+    /// The sync pipelines up to the configured ack window of frames per
+    /// replica and waits the configured ack timeout for each answer;
+    /// the transports are then handed to the engine's pipeline.
     ///
     /// # Errors
     ///
@@ -284,16 +287,18 @@ impl EngineBuilder {
         let clock = self
             .clock
             .unwrap_or_else(|| Arc::new(WallClock::new()) as Arc<dyn Clock>);
-        let mut group = ReplicationGroup::new(self.mode, self.replicas)
-            .with_ack_timeout(config.ack_timeout)
-            .with_ack_policy(AckPolicy::Window(config.ack_window));
-        group.initial_sync(&self.device)?;
+        initial_sync(
+            &*self.device,
+            &self.replicas,
+            config.ack_window,
+            config.ack_timeout,
+        )?;
         Ok(Self::start_engine(
             self.device,
             self.mode,
             self.replicator,
             adaptive,
-            group.into_transports(),
+            self.replicas,
             config,
             clock,
             self.registry,
@@ -321,6 +326,54 @@ impl EngineBuilder {
             self.trace,
         )
     }
+}
+
+/// Pushes a full image of `device` to every replica, ending with a sync
+/// marker. Frames are sealed under the lanes' epoch; up to `window` of
+/// them ride unacknowledged per replica, so the bulk transfer pipelines
+/// instead of stalling one round-trip per block.
+fn initial_sync(
+    device: &dyn BlockDevice,
+    replicas: &[Box<dyn Transport>],
+    window: usize,
+    timeout: Duration,
+) -> Result<(), ReplError> {
+    let collect_round = || -> Result<(), ReplError> {
+        for (idx, replica) in replicas.iter().enumerate() {
+            let answer = replica.recv_timeout(timeout)?;
+            if classify_response(&answer, idx, 0)? != Response::Ack {
+                return Err(ReplError::MissingAck {
+                    replica: idx,
+                    got: answer.first().copied(),
+                });
+            }
+        }
+        Ok(())
+    };
+    let mut block = vec![0u8; device.geometry().block_size().bytes()];
+    let mut frame = Vec::with_capacity(block.len() + 32);
+    let mut in_flight = 0;
+    for lba in device.geometry().range().iter().map(Some).chain([None]) {
+        frame.clear();
+        let seal = seal_begin(LANE_EPOCH, &mut frame);
+        match lba {
+            Some(lba) => {
+                device.read_block(lba, &mut block)?;
+                Payload::write_full(&mut frame, lba, &block);
+            }
+            None => Payload::write_sync_marker(&mut frame, Lba(0)),
+        }
+        seal.finish(&mut frame);
+        for replica in replicas {
+            replica.send(&frame)?;
+        }
+        in_flight += 1;
+        while in_flight > window {
+            collect_round()?;
+            in_flight -= 1;
+        }
+    }
+    (0..in_flight).try_for_each(|_| collect_round())
 }
 
 impl std::fmt::Debug for EngineBuilder {

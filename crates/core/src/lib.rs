@@ -28,7 +28,7 @@
 //!                                                             │ iSCSI / TCP / channel
 //!                                                             ▼
 //!                                                   ┌──────────────────┐
-//!                                                   │  ReplicaEngine   │
+//!                                                   │  run_replica     │
 //!                                                   │  A_new = P'⊕A_old│
 //!                                                   └──────────────────┘
 //! ```
@@ -41,17 +41,18 @@
 //!
 //! ```
 //! use prins_block::{BlockDevice, BlockSize, Lba, MemDevice};
-//! use prins_core::{EngineBuilder, ReplicaEngine};
+//! use prins_core::EngineBuilder;
 //! use prins_net::{channel_pair, LinkModel};
-//! use prins_repl::ReplicationMode;
+//! use prins_repl::{run_replica, ReplicationMode};
 //! use std::sync::Arc;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let (to_replica, at_replica) = channel_pair(LinkModel::t1());
 //!
-//! // Replica node.
+//! // Replica node: applies and acknowledges until the primary hangs up.
 //! let replica_dev = Arc::new(MemDevice::new(BlockSize::kb8(), 32));
-//! let replica = ReplicaEngine::spawn(Arc::clone(&replica_dev) as Arc<_>, at_replica);
+//! let dev = Arc::clone(&replica_dev);
+//! let replica = std::thread::spawn(move || run_replica(&*dev, &at_replica));
 //!
 //! // Primary node.
 //! let primary_dev = Arc::new(MemDevice::new(BlockSize::kb8(), 32));
@@ -86,7 +87,6 @@ mod stats;
 pub use builder::EngineBuilder;
 pub use engine::PrinsEngine;
 pub use pipeline::PipelineTuning;
-pub use replica::ReplicaEngine;
 pub use stats::{EngineStats, LaneStats};
 
 pub use prins_block::BlockDevice;

@@ -65,9 +65,9 @@ use prins_block::Lba;
 use prins_buf::{BufPool, PooledBuf, PooledBytes};
 use prins_net::{Clock, Transport};
 use prins_obs::{Event, EventKind, TraceId, TraceSink, TraceStage, NO_LANE};
-use prins_parity::encode_varint;
 use prins_repl::{
-    decode_ack, seal_begin, ReplError, Replicator, SeqRange, ACK, BATCH_TAG, NAK, NAK_CORRUPT,
+    classify_response, seal_batch_frame_into, seal_frame_into, ReplError, Replicator, Response,
+    SeqRange, NAK_CORRUPT,
 };
 
 use crate::obs::PipeObs;
@@ -396,7 +396,18 @@ struct Inner {
 /// its stack.
 struct SteppedLane {
     transport: Box<dyn Transport>,
+    rt: LaneRt,
+}
+
+/// A lane's frame bookkeeping, owned by its thread (or by the stepped
+/// driver).
+#[derive(Default)]
+struct LaneRt {
+    /// Sent, unacknowledged frames.
     outstanding: VecDeque<InFlight>,
+    /// The payloads packed into the frame being assembled — kept across
+    /// frames so assembly never allocates.
+    batch: Vec<PooledBytes>,
 }
 
 /// One sent, unacknowledged frame: the writes it carries plus the
@@ -415,7 +426,7 @@ struct InFlight {
 
 /// Lanes have no replica lifecycle (no offline/rejoin), so every frame
 /// is sealed under the constant first epoch.
-const LANE_EPOCH: u64 = 1;
+pub(crate) const LANE_EPOCH: u64 = 1;
 
 /// Retransmissions attempted per frame before a corrupt NAK becomes a
 /// lane error.
@@ -489,7 +500,7 @@ impl Pipeline {
                             .into_iter()
                             .map(|transport| SteppedLane {
                                 transport,
-                                outstanding: VecDeque::new(),
+                                rt: LaneRt::default(),
                             })
                             .collect(),
                     ),
@@ -584,7 +595,7 @@ impl Pipeline {
                         &*self.inner.clock,
                         &self.inner.pool,
                         self.tuning.batch_frames(),
-                        &mut rt.outstanding,
+                        &mut rt.rt,
                         seq,
                         lba,
                         writes,
@@ -610,7 +621,7 @@ impl Pipeline {
             &self.inner.shared,
             &stepped.cfg,
             &*self.inner.clock,
-            &mut rt.outstanding,
+            &mut rt.rt,
         );
     }
 
@@ -901,13 +912,10 @@ fn run_encoder(inner: &Inner, replicator: &dyn Replicator) {
 /// lane threads and the stepped driver.
 ///
 /// Frame assembly is single-copy: each payload's bytes move from their
-/// pooled buffer straight into the sealed wire buffer (also pooled),
-/// with the batch header and the seal envelope written around them in
-/// place. One slicing-by-8 CRC pass in [`SealWriter::finish`] covers
-/// the whole batch. The wire bytes are identical to the old
-/// `BatchFrame::to_bytes` + `seal_frame` construction.
-///
-/// [`SealWriter::finish`]: prins_repl::SealWriter::finish
+/// pooled buffer straight into the sealed wire buffer (also pooled)
+/// through [`seal_frame_into`] or, for a batch, [`seal_batch_frame_into`],
+/// which writes the batch header in place and covers the whole batch
+/// with one CRC pass.
 #[allow(clippy::too_many_arguments)]
 fn lane_handle_payload(
     idx: usize,
@@ -918,7 +926,7 @@ fn lane_handle_payload(
     clock: &dyn Clock,
     pool: &BufPool,
     batch_frames: usize,
-    outstanding: &mut VecDeque<InFlight>,
+    rt: &mut LaneRt,
     seq: u64,
     lba: Lba,
     writes: u64,
@@ -954,8 +962,9 @@ fn lane_handle_payload(
     }
     let mut range = SeqRange::single(seq);
     let mut total_writes = writes;
-    let mut extra: Vec<PooledBytes> = Vec::new();
-    while extra.len() + 1 < batch_frames {
+    let batch = &mut rt.batch;
+    batch.push(bytes);
+    while batch.len() < batch_frames {
         match lane.try_pop_payload() {
             Some(LaneMsg::Payload {
                 seq,
@@ -982,34 +991,23 @@ fn lane_handle_payload(
                 let contiguous = range.push(seq);
                 debug_assert!(contiguous, "lane batches are contiguous seq runs");
                 total_writes += writes;
-                extra.push(bytes);
+                batch.push(bytes);
             }
             _ => break,
         }
     }
-    let inner_len = bytes.len() + extra.iter().map(|p| p.len() + 10).sum::<usize>();
-    let mut wire = pool.get(inner_len + 32);
-    let out = wire.vec_mut();
-    let writer = seal_begin(LANE_EPOCH, out);
-    if extra.is_empty() {
-        out.extend_from_slice(&bytes);
+    let payload_len: usize = batch.iter().map(|p| p.len()).sum();
+    let mut wire = pool.get(payload_len + 10 * batch.len() + 32);
+    if let [single] = batch.as_slice() {
+        seal_frame_into(LANE_EPOCH, single, wire.vec_mut());
     } else {
-        out.push(BATCH_TAG);
-        encode_varint(out, (1 + extra.len()) as u64);
-        encode_varint(out, bytes.len() as u64);
-        out.extend_from_slice(&bytes);
-        for p in &extra {
-            encode_varint(out, p.len() as u64);
-            out.extend_from_slice(p);
-        }
+        seal_batch_frame_into(LANE_EPOCH, batch, wire.vec_mut());
     }
-    writer.finish(out);
-    shared.hot_bytes_copied.fetch_add(
-        (bytes.len() + extra.iter().map(|p| p.len()).sum::<usize>()) as u64,
-        Ordering::Relaxed,
-    );
-    drop(bytes);
-    drop(extra);
+    shared
+        .hot_bytes_copied
+        .fetch_add(payload_len as u64, Ordering::Relaxed);
+    // Recycle the payload buffers before the send.
+    batch.clear();
 
     let t0 = clock.now_nanos();
     let sent = transport.send(&wire);
@@ -1050,13 +1048,13 @@ fn lane_handle_payload(
                     );
                 }
             }
-            outstanding.push_back(InFlight {
+            rt.outstanding.push_back(InFlight {
                 writes: total_writes,
                 range,
                 frame: wire,
             });
-            while outstanding.len() >= cfg.ack_window.max(1) {
-                collect_one(idx, transport, lane, shared, cfg, clock, outstanding);
+            while rt.outstanding.len() >= cfg.ack_window.max(1) {
+                collect_one(idx, transport, lane, shared, cfg, clock, rt);
             }
         }
         Err(e) => {
@@ -1100,16 +1098,15 @@ fn run_lane(
     pool: &BufPool,
     tuning: &PipelineTuning,
 ) {
-    // The in-flight (sent, unacknowledged) frames.
-    let mut outstanding: VecDeque<InFlight> = VecDeque::new();
+    let mut rt = LaneRt::default();
     loop {
         match lane.pop() {
             LaneMsg::Shutdown => {
-                collect_all(idx, transport, lane, shared, cfg, clock, &mut outstanding);
+                collect_all(idx, transport, lane, shared, cfg, clock, &mut rt);
                 return;
             }
             LaneMsg::Barrier(gate) => {
-                collect_all(idx, transport, lane, shared, cfg, clock, &mut outstanding);
+                collect_all(idx, transport, lane, shared, cfg, clock, &mut rt);
                 gate.arrive();
             }
             LaneMsg::Payload {
@@ -1127,7 +1124,7 @@ fn run_lane(
                 clock,
                 pool,
                 tuning.batch_frames(),
-                &mut outstanding,
+                &mut rt,
                 seq,
                 lba,
                 writes,
@@ -1157,7 +1154,7 @@ fn collect_one(
     shared: &Shared,
     cfg: &PipelineConfig,
     clock: &dyn Clock,
-    outstanding: &mut VecDeque<InFlight>,
+    rt: &mut LaneRt,
 ) {
     let obs = shared.obs.as_ref();
     let tsink = shared.trace.as_ref();
@@ -1165,8 +1162,8 @@ fn collect_one(
         writes: frame_writes,
         range,
         frame,
-    } = outstanding.pop_front().expect("outstanding frame");
-    let sole_in_flight = outstanding.is_empty();
+    } = rt.outstanding.pop_front().expect("outstanding frame");
+    let sole_in_flight = rt.outstanding.is_empty();
     let mut attempt: u32 = 0;
     let mut waited: u64 = 0;
     let mut t1;
@@ -1177,51 +1174,42 @@ fn collect_one(
         waited += t1.saturating_sub(t0);
         lane.ack_nanos
             .fetch_add(t1.saturating_sub(t0), Ordering::Relaxed);
-        let ack = match answer {
-            Ok(bytes) => match decode_ack(&bytes) {
-                Ok(ack) => ack,
-                Err(_) => {
-                    break Err(ReplError::MissingAck {
-                        replica: idx,
-                        got: bytes.first().copied(),
-                    })
-                }
-            },
+        let bytes = match answer {
+            Ok(bytes) => bytes,
             Err(e) => break Err(e.into()),
         };
-        match ack.status {
-            ACK => break Ok(()),
-            NAK => break Err(ReplError::Nak { replica: idx }),
-            NAK_CORRUPT => {
-                if let Some(obs) = obs {
-                    obs.checksum_failures.inc();
-                }
-                if !sole_in_flight || attempt >= MAX_RETRANSMITS {
-                    break Err(ReplError::ChecksumMismatch {
-                        expected: 0,
-                        got: 0,
-                    });
-                }
-                attempt += 1;
-                if let Err(e) = transport.send(&frame) {
-                    break Err(e.into());
-                }
-                lane.payload_bytes
-                    .fetch_add(frame.len() as u64, Ordering::Relaxed);
-                if let Some(obs) = obs {
-                    obs.retransmits.inc();
-                }
-                if let Some(tsink) = tsink {
-                    for s in range.iter() {
-                        tsink.mark_retransmit(TraceId::from_seq(s), idx as u32, t1);
-                    }
-                }
-            }
-            other => {
-                break Err(ReplError::MissingAck {
-                    replica: idx,
-                    got: Some(other),
-                })
+        // Lanes have no replica lifecycle, so no answer is stale.
+        let e = match classify_response(&bytes, idx, 0) {
+            Ok(Response::Ack) => break Ok(()),
+            Ok(_) => ReplError::MissingAck {
+                replica: idx,
+                got: bytes.first().copied(),
+            },
+            Err(e) => e,
+        };
+        let corrupt_nak =
+            bytes.first() == Some(&NAK_CORRUPT) && matches!(e, ReplError::ChecksumMismatch { .. });
+        if !corrupt_nak {
+            break Err(e);
+        }
+        if let Some(obs) = obs {
+            obs.checksum_failures.inc();
+        }
+        if !sole_in_flight || attempt >= MAX_RETRANSMITS {
+            break Err(e);
+        }
+        attempt += 1;
+        if let Err(e) = transport.send(&frame) {
+            break Err(e.into());
+        }
+        lane.payload_bytes
+            .fetch_add(frame.len() as u64, Ordering::Relaxed);
+        if let Some(obs) = obs {
+            obs.retransmits.inc();
+        }
+        if let Some(tsink) = tsink {
+            for s in range.iter() {
+                tsink.mark_retransmit(TraceId::from_seq(s), idx as u32, t1);
             }
         }
     };
@@ -1274,10 +1262,10 @@ fn collect_all(
     shared: &Shared,
     cfg: &PipelineConfig,
     clock: &dyn Clock,
-    outstanding: &mut VecDeque<InFlight>,
+    rt: &mut LaneRt,
 ) {
-    while !outstanding.is_empty() {
-        collect_one(idx, transport, lane, shared, cfg, clock, outstanding);
+    while !rt.outstanding.is_empty() {
+        collect_one(idx, transport, lane, shared, cfg, clock, rt);
     }
 }
 
@@ -1291,14 +1279,11 @@ mod tests {
     use prins_net::{
         channel_pair, FaultTransport, LinkHandle, LinkModel, SimLinkCtl, SimNet, Transport as _,
     };
-    use prins_repl::{
-        encode_ack, encode_digest_ack, verify_consistent, AckPolicy, Applied, ReplError,
-        ReplicaApplier, ACK, NAK, NAK_CORRUPT,
-    };
+    use prins_repl::{encode_response, verify_consistent, AckPolicy, ReplError, ReplicaApplier};
     use proptest::prelude::*;
     use rand::{RngExt, SeedableRng};
 
-    use crate::{EngineBuilder, PrinsEngine, ReplicaEngine};
+    use crate::{EngineBuilder, PrinsEngine};
 
     type ReplicaHandle = std::thread::JoinHandle<Result<u64, ReplError>>;
 
@@ -1321,10 +1306,10 @@ mod tests {
             let (uplink, downlink) = channel_pair(LinkModel::t1());
             let (faulty, link) = FaultTransport::new(uplink);
             let device = Arc::new(MemDevice::new(BlockSize::kb4(), blocks));
-            handles.push(ReplicaEngine::spawn(
-                Arc::clone(&device) as Arc<dyn BlockDevice>,
-                downlink,
-            ));
+            let dev = Arc::clone(&device);
+            handles.push(std::thread::spawn(move || {
+                prins_repl::run_replica(&*dev, &downlink)
+            }));
             transports.push(Box::new(faulty));
             links.push(link);
             devices.push(device);
@@ -1370,20 +1355,8 @@ mod tests {
                 &b,
                 Box::new(move || {
                     while let Ok(Some(frame)) = tr.try_recv() {
-                        let ack = match applier.handle(&frame) {
-                            Ok(Applied::Data(_)) => encode_ack(ACK, applier.last_epoch()),
-                            Ok(Applied::Digest(d)) => encode_digest_ack(applier.last_epoch(), d),
-                            Ok(Applied::Strip(s)) => {
-                                prins_repl::encode_strip_ack(applier.last_epoch(), &s)
-                            }
-                            Ok(Applied::Read(s)) => {
-                                prins_repl::encode_read_ack(applier.last_epoch(), &s)
-                            }
-                            Err(ReplError::ChecksumMismatch { .. }) => {
-                                encode_ack(NAK_CORRUPT, applier.last_epoch())
-                            }
-                            Err(_) => encode_ack(NAK, applier.last_epoch()),
-                        };
+                        let outcome = applier.handle(&frame);
+                        let ack = encode_response(&outcome, applier.last_epoch());
                         let _ = tr.send(&ack);
                     }
                 }),

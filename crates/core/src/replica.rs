@@ -1,76 +1,32 @@
-//! The replica-side PRINS engine.
-
-use std::sync::Arc;
-use std::thread::JoinHandle;
-
-use prins_block::BlockDevice;
-use prins_net::Transport;
-use prins_repl::{run_replica, ReplError};
-
-/// The replica-side counterpart of [`PrinsEngine`](crate::PrinsEngine).
-///
-/// Listens on a transport, performs the backward parity computation
-/// (`A_new = P' ⊕ A_old`) for PRINS payloads — or plain/decompressed
-/// writes for the baseline strategies — stores the block at its LBA, and
-/// acknowledges. "The replica storage nodes also run the PRINS-engine
-/// that receives parity, computes data back, and stores the data block
-/// in-place."
-pub struct ReplicaEngine<T> {
-    device: Arc<dyn BlockDevice>,
-    transport: T,
-}
-
-impl<T: Transport> ReplicaEngine<T> {
-    /// Creates a replica engine over a local device and an inbound
-    /// connection from the primary.
-    pub fn new(device: Arc<dyn BlockDevice>, transport: T) -> Self {
-        Self { device, transport }
-    }
-
-    /// Serves until the primary disconnects, returning the number of
-    /// writes applied.
-    ///
-    /// # Errors
-    ///
-    /// Local device failures abort the loop (after NAKing the offending
-    /// payload).
-    pub fn run(self) -> Result<u64, ReplError> {
-        run_replica(&*self.device, &self.transport)
-    }
-}
-
-impl<T: Transport + 'static> ReplicaEngine<T> {
-    /// Runs the replica on a dedicated thread.
-    pub fn spawn(device: Arc<dyn BlockDevice>, transport: T) -> JoinHandle<Result<u64, ReplError>> {
-        std::thread::Builder::new()
-            .name("prins-replica".into())
-            .spawn(move || ReplicaEngine::new(device, transport).run())
-            .expect("spawn prins-replica thread")
-    }
-}
-
-impl<T> std::fmt::Debug for ReplicaEngine<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReplicaEngine")
-            .field("geometry", &self.device.geometry())
-            .finish_non_exhaustive()
-    }
-}
+//! End-to-end tests of the engine against replicas running the stock
+//! serving loop, [`run_replica`](prins_repl::run_replica), on a thread
+//! each — "the replica storage nodes also run the PRINS-engine that
+//! receives parity, computes data back, and stores the data block
+//! in-place".
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::sync::Arc;
+    use std::thread::JoinHandle;
+
     use crate::EngineBuilder;
-    use prins_block::{BlockSize, Lba, MemDevice};
-    use prins_net::{channel_pair, LinkModel};
-    use prins_repl::{verify_consistent, ReplicationMode};
+    use prins_block::{BlockDevice, BlockSize, Lba, MemDevice};
+    use prins_net::{channel_pair, LinkModel, Transport};
+    use prins_repl::{run_replica, verify_consistent, AckPolicy, ReplError, ReplicationMode};
     use rand::{RngExt, SeedableRng};
+
+    fn spawn_replica(
+        device: &Arc<MemDevice>,
+        transport: impl Transport + 'static,
+    ) -> JoinHandle<Result<u64, ReplError>> {
+        let device = Arc::clone(device);
+        std::thread::spawn(move || run_replica(&*device, &transport))
+    }
 
     fn end_to_end(mode: ReplicationMode) {
         let (to_replica, at_replica) = channel_pair(LinkModel::t1());
         let replica_dev = Arc::new(MemDevice::new(BlockSize::kb4(), 32));
-        let replica =
-            ReplicaEngine::spawn(Arc::clone(&replica_dev) as Arc<dyn BlockDevice>, at_replica);
+        let replica = spawn_replica(&replica_dev, at_replica);
 
         let primary_dev = Arc::new(MemDevice::new(BlockSize::kb4(), 32));
         let engine = EngineBuilder::new(Arc::clone(&primary_dev) as Arc<dyn BlockDevice>)
@@ -78,7 +34,6 @@ mod tests {
             .replica(Box::new(to_replica))
             .build();
 
-        use prins_block::BlockDevice as _;
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
         for _ in 0..120 {
             let lba = Lba(rng.random_range(0..32));
@@ -129,8 +84,8 @@ mod tests {
         let (to_r2, at_r2) = channel_pair(LinkModel::t3());
         let d1 = Arc::new(MemDevice::new(BlockSize::kb4(), 8));
         let d2 = Arc::new(MemDevice::new(BlockSize::kb4(), 8));
-        let r1 = ReplicaEngine::spawn(Arc::clone(&d1) as Arc<dyn BlockDevice>, at_r1);
-        let r2 = ReplicaEngine::spawn(Arc::clone(&d2) as Arc<dyn BlockDevice>, at_r2);
+        let r1 = spawn_replica(&d1, at_r1);
+        let r2 = spawn_replica(&d2, at_r2);
 
         let primary = Arc::new(MemDevice::new(BlockSize::kb4(), 8));
         let engine = EngineBuilder::new(Arc::clone(&primary) as Arc<dyn BlockDevice>)
@@ -138,7 +93,6 @@ mod tests {
             .replica(Box::new(to_r2))
             .build();
 
-        use prins_block::BlockDevice as _;
         for i in 0..8u64 {
             engine
                 .write_block(Lba(i), &vec![i as u8 + 1; 4096])
@@ -153,25 +107,36 @@ mod tests {
 
     #[test]
     fn initial_sync_bootstraps_nonempty_primary() {
-        let (to_replica, at_replica) = channel_pair(LinkModel::t1());
-        let replica_dev = Arc::new(MemDevice::new(BlockSize::kb4(), 8));
-        let replica =
-            ReplicaEngine::spawn(Arc::clone(&replica_dev) as Arc<dyn BlockDevice>, at_replica);
-
-        use prins_block::BlockDevice as _;
-        let primary_dev = Arc::new(MemDevice::new(BlockSize::kb4(), 8));
-        for i in 0..8u64 {
-            primary_dev
-                .write_block(Lba(i), &vec![0x40 + i as u8; 4096])
-                .unwrap();
+        // Per-write and windowed acks: the sync must converge two
+        // replicas either way, and the sync frames are not counted as
+        // replicated writes.
+        for policy in [AckPolicy::PerWrite, AckPolicy::Window(16)] {
+            let replica_devs: Vec<_> = (0..2)
+                .map(|_| Arc::new(MemDevice::new(BlockSize::kb4(), 32)))
+                .collect();
+            let primary_dev = Arc::new(MemDevice::new(BlockSize::kb4(), 32));
+            let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+            for i in 0..32u64 {
+                let mut block = vec![0u8; 4096];
+                rng.fill_bytes(&mut block);
+                primary_dev.write_block(Lba(i), &block).unwrap();
+            }
+            let mut builder = EngineBuilder::new(Arc::clone(&primary_dev) as Arc<dyn BlockDevice>)
+                .ack_policy(policy);
+            let mut replicas = Vec::new();
+            for dev in &replica_devs {
+                let (to_replica, at_replica) = channel_pair(LinkModel::t1());
+                replicas.push(spawn_replica(dev, at_replica));
+                builder = builder.replica(Box::new(to_replica));
+            }
+            let engine = builder.build_with_initial_sync().unwrap();
+            assert_eq!(engine.stats().writes_replicated, 0, "{policy:?}");
+            engine.shutdown().unwrap();
+            for (replica, dev) in replicas.into_iter().zip(&replica_devs) {
+                assert_eq!(replica.join().unwrap().unwrap(), 32, "{policy:?}");
+                assert!(verify_consistent(&*primary_dev, &**dev).unwrap());
+            }
         }
-        let engine = EngineBuilder::new(Arc::clone(&primary_dev) as Arc<dyn BlockDevice>)
-            .replica(Box::new(to_replica))
-            .build_with_initial_sync()
-            .unwrap();
-        engine.shutdown().unwrap();
-        replica.join().unwrap().unwrap();
-        assert!(verify_consistent(&*primary_dev, &*replica_dev).unwrap());
     }
 
     #[test]
@@ -179,15 +144,13 @@ mod tests {
         let (to_replica, at_replica) = channel_pair(LinkModel::t1());
         // Replica device too small: writes past block 0 NAK.
         let replica_dev = Arc::new(MemDevice::new(BlockSize::kb4(), 1));
-        let _replica =
-            ReplicaEngine::spawn(Arc::clone(&replica_dev) as Arc<dyn BlockDevice>, at_replica);
+        let _replica = spawn_replica(&replica_dev, at_replica);
         let primary_dev = Arc::new(MemDevice::new(BlockSize::kb4(), 8));
         let engine = EngineBuilder::new(Arc::clone(&primary_dev) as Arc<dyn BlockDevice>)
             .mode(ReplicationMode::Traditional)
             .replica(Box::new(to_replica))
             .build();
 
-        use prins_block::BlockDevice as _;
         engine.write_block(Lba(5), &vec![1u8; 4096]).unwrap();
         let err = engine.flush().unwrap_err();
         assert!(err.to_string().contains("replication failed"), "{err}");
@@ -196,17 +159,14 @@ mod tests {
 
     #[test]
     fn windowed_ack_engine_converges_and_counts_correctly() {
-        use prins_repl::AckPolicy;
         let (to_replica, at_replica) = channel_pair(LinkModel::t1());
         let replica_dev = Arc::new(MemDevice::new(BlockSize::kb4(), 32));
-        let replica =
-            ReplicaEngine::spawn(Arc::clone(&replica_dev) as Arc<dyn BlockDevice>, at_replica);
+        let replica = spawn_replica(&replica_dev, at_replica);
         let primary_dev = Arc::new(MemDevice::new(BlockSize::kb4(), 32));
         let engine = EngineBuilder::new(Arc::clone(&primary_dev) as Arc<dyn BlockDevice>)
             .ack_policy(AckPolicy::Window(16))
             .replica(Box::new(to_replica))
             .build();
-        use prins_block::BlockDevice as _;
         for i in 0..64u64 {
             engine
                 .write_block(Lba(i % 32), &vec![(i + 1) as u8; 4096])
@@ -227,15 +187,13 @@ mod tests {
         // or the replica's XOR chain diverges.
         let (to_replica, at_replica) = channel_pair(LinkModel::t1());
         let replica_dev = Arc::new(MemDevice::new(BlockSize::kb4(), 8));
-        let replica =
-            ReplicaEngine::spawn(Arc::clone(&replica_dev) as Arc<dyn BlockDevice>, at_replica);
+        let replica = spawn_replica(&replica_dev, at_replica);
         let primary_dev = Arc::new(MemDevice::new(BlockSize::kb4(), 8));
         let engine = Arc::new(
             EngineBuilder::new(Arc::clone(&primary_dev) as Arc<dyn BlockDevice>)
                 .replica(Box::new(to_replica))
                 .build(),
         );
-        use prins_block::BlockDevice as _;
         let mut handles = Vec::new();
         for t in 0..4u64 {
             let engine = Arc::clone(&engine);
@@ -268,7 +226,6 @@ mod tests {
     fn local_only_engine_accounts_overhead() {
         let device = Arc::new(MemDevice::new(BlockSize::kb8(), 16));
         let engine = EngineBuilder::new(device as Arc<dyn BlockDevice>).build();
-        use prins_block::BlockDevice as _;
         for i in 0..16u64 {
             engine.write_block(Lba(i), &vec![i as u8; 8192]).unwrap();
         }

@@ -139,16 +139,21 @@ impl SparseParity {
     /// `varint(block_len) varint(n) { varint(gap) varint(len) bytes }*n`.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.wire_size());
-        encode_varint(&mut out, self.block_len as u64);
-        encode_varint(&mut out, self.segments.len() as u64);
+        self.write_into(&mut out);
+        out
+    }
+
+    /// Appends the [`to_bytes`](Self::to_bytes) encoding to `out`.
+    pub fn write_into(&self, out: &mut Vec<u8>) {
+        encode_varint(out, self.block_len as u64);
+        encode_varint(out, self.segments.len() as u64);
         let mut prev_end = 0usize;
         for s in &self.segments {
-            encode_varint(&mut out, (s.offset - prev_end) as u64);
-            encode_varint(&mut out, s.data.len() as u64);
+            encode_varint(out, (s.offset - prev_end) as u64);
+            encode_varint(out, s.data.len() as u64);
             out.extend_from_slice(&s.data);
             prev_end = s.end();
         }
-        out
     }
 
     /// Expands back to a dense parity block of length `len`.

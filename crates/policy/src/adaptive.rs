@@ -7,8 +7,10 @@ use std::sync::RwLock;
 use prins_block::Lba;
 use prins_compress::{Codec, Lzss};
 use prins_obs::Registry;
-use prins_parity::{encode_varint, SparseCodec};
-use prins_repl::{CompressedReplicator, PrinsReplicator, Replicator, TraditionalReplicator};
+use prins_parity::SparseCodec;
+use prins_repl::{
+    CompressedReplicator, Payload, PrinsReplicator, Replicator, TraditionalReplicator,
+};
 
 use crate::counters::{CounterfactualMode, PolicyCounters};
 use crate::probe::probe_compressibility_pm;
@@ -410,12 +412,6 @@ impl AdaptiveReplicator {
 }
 
 impl Replicator for AdaptiveReplicator {
-    fn encode_write(&self, lba: Lba, old: &[u8], new: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(new.len() + 16);
-        self.encode_write_into(lba, old, new, &mut out);
-        out
-    }
-
     fn encode_write_into(&self, lba: Lba, old: &[u8], new: &[u8], out: &mut Vec<u8>) {
         debug_assert_eq!(old.len(), new.len(), "images of one device block");
         let base = out.len();
@@ -432,15 +428,10 @@ impl Replicator for AdaptiveReplicator {
             Strategy::Parity => {
                 // The fused zero-alloc path, byte-identical to
                 // PrinsReplicator's.
-                out.push(2); // PayloadBody::Parity tag
-                encode_varint(out, lba.index());
+                Payload::write_parity_header(out, lba);
                 self.codec.encode_delta_into(old, new, out);
             }
-            Strategy::Full => {
-                out.push(0); // PayloadBody::Full tag
-                encode_varint(out, lba.index());
-                out.extend_from_slice(new);
-            }
+            Strategy::Full => Payload::write_full(out, lba, new),
             Strategy::Compressed => {
                 let packed = self.lzss.compress(new);
                 full_pm_sample = Some(ratio_pm(packed.len(), full));
@@ -448,23 +439,17 @@ impl Replicator for AdaptiveReplicator {
                     Some((Self::header_len(lba) + varint_len(full as u64) + packed.len()) as u64);
                 let comp_body = varint_len(full as u64) + packed.len();
                 if comp_body < full && (wire >= full || comp_body < wire) {
-                    out.push(1); // PayloadBody::Compressed tag
-                    encode_varint(out, lba.index());
-                    encode_varint(out, full as u64);
-                    out.extend_from_slice(&packed);
+                    Payload::write_compressed(out, lba, full, &packed);
                 } else if wire < full {
                     // Misprediction rescue: the content did not
                     // compress below this write's parity after all.
-                    out.push(2);
-                    encode_varint(out, lba.index());
+                    Payload::write_parity_header(out, lba);
                     self.codec.encode_delta_into(old, new, out);
                     strategy = Strategy::Parity;
                 } else {
                     // Never worse than a raw full image on any write —
                     // unlike static Compressed, which can expand.
-                    out.push(0);
-                    encode_varint(out, lba.index());
-                    out.extend_from_slice(new);
+                    Payload::write_full(out, lba, new);
                     strategy = Strategy::Full;
                 }
             }
@@ -516,10 +501,7 @@ impl Replicator for AdaptiveReplicator {
                         exact_compressed = Some(candidate as u64);
                         if candidate < shipped {
                             out.truncate(base);
-                            out.push(1);
-                            encode_varint(out, lba.index());
-                            encode_varint(out, full as u64);
-                            out.extend_from_slice(&packed);
+                            Payload::write_compressed(out, lba, full, &packed);
                             strategy = Strategy::Compressed;
                         }
                     }
@@ -797,33 +779,47 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Two fresh instances fed the same write sequence — one through
-        /// `encode_write`, one through `encode_write_into` — must stay
-        /// byte-identical forever: the pooled hot path may never change
-        /// what goes on the wire, even though every call mutates
-        /// classifier state.
+        /// Whatever strategy the classifier picks, the wire bytes are
+        /// the reference encoding of that pick — `Payload::to_bytes`
+        /// over the reference sparse parity and LZSS streams — appended
+        /// after whatever the buffer already held.
         #[test]
-        fn prop_stateful_encode_paths_stay_byte_identical(
+        fn prop_every_pick_ships_its_reference_encoding(
             writes in proptest::collection::vec(
                 (0u64..4, proptest::collection::vec(proptest::prelude::any::<u8>(), 128)),
                 1..24,
             ),
         ) {
-            let a = AdaptiveReplicator::new(PolicyConfig::default());
-            let b = AdaptiveReplicator::new(PolicyConfig::default());
+            use prins_repl::PayloadBody;
+            let adaptive = AdaptiveReplicator::new(PolicyConfig::default());
             let mut images: HashMap<u64, Vec<u8>> = HashMap::new();
             for (lba, new) in &writes {
                 let old = images.entry(*lba).or_insert_with(|| vec![0u8; 128]).clone();
-                let want = a.encode_write(Lba(*lba), &old, new);
                 let mut got = vec![0xEEu8]; // pre-existing byte must survive
-                b.encode_write_into(Lba(*lba), &old, new, &mut got);
-                proptest::prop_assert_eq!(&got[..1], &[0xEEu8][..]);
-                proptest::prop_assert_eq!(&got[1..], want.as_slice());
-                // And every frame must parse.
-                proptest::prop_assert!(prins_repl::Payload::from_bytes(&want).is_ok());
+                adaptive.encode_write_into(Lba(*lba), &old, new, &mut got);
+                proptest::prop_assert_eq!(got[0], 0xEE);
+                let payload = prins_repl::Payload::from_bytes(&got[1..]).unwrap();
+                let reserialized = payload.to_bytes();
+                proptest::prop_assert_eq!(reserialized.as_slice(), &got[1..]);
+                let sparse = SparseCodec::default()
+                    .encode(&prins_parity::forward_parity(&old, new))
+                    .to_bytes();
+                match payload.body {
+                    PayloadBody::Full(data) => proptest::prop_assert_eq!(&data, new),
+                    PayloadBody::Parity(data) => proptest::prop_assert_eq!(data, sparse),
+                    PayloadBody::Compressed { block_len, data } => {
+                        proptest::prop_assert_eq!(block_len, new.len());
+                        proptest::prop_assert_eq!(data, Lzss::default().compress(new));
+                    }
+                    PayloadBody::ParityCompressed { sparse_len, data } => {
+                        proptest::prop_assert_eq!(sparse_len, sparse.len());
+                        proptest::prop_assert_eq!(data, Lzss::fast().compress(&sparse));
+                    }
+                    other => proptest::prop_assert!(false, "unexpected body {:?}", other),
+                }
                 images.insert(*lba, new.clone());
             }
-            proptest::prop_assert_eq!(a.counters().writes.get(), writes.len() as u64);
+            proptest::prop_assert_eq!(adaptive.counters().writes.get(), writes.len() as u64);
         }
     }
 }

@@ -170,44 +170,35 @@ impl<D: BlockDevice> ReplicaApplier<D> {
     /// [`require_sealed`](Self::require_sealed) is on) — answer those
     /// with `NAK_CORRUPT` so the sender retransmits.
     pub fn handle(&mut self, frame: &[u8]) -> Result<Applied, ReplError> {
-        if frame.first() == Some(&SEAL_TAG) {
+        let sealed = frame.first() == Some(&SEAL_TAG);
+        let inner = if sealed {
             let (epoch, inner) = open_frame(frame)?;
             self.last_epoch = epoch;
-            if is_digest_request(inner) {
-                let lba = decode_digest_request(inner)?;
-                return Ok(Applied::Digest(self.digest(lba)?));
-            }
-            if is_strip_request(inner) {
-                let lba = decode_strip_request(inner)?;
-                return Ok(Applied::Strip(self.strip_image(lba)?));
-            }
-            if is_read_request(inner) {
-                let lba = decode_read_request(inner)?;
-                return Ok(Applied::Read(self.strip_image(lba)?));
-            }
-            // The seal's CRC already vouched for the inner frame; apply
-            // it without requiring a second (nested) seal.
-            return self.apply_inner(inner).map(Applied::Data);
-        }
-        if is_digest_request(frame) {
-            let lba = decode_digest_request(frame)?;
+            inner
+        } else {
+            frame
+        };
+        if is_digest_request(inner) {
+            let lba = decode_digest_request(inner)?;
             return Ok(Applied::Digest(self.digest(lba)?));
         }
-        if is_strip_request(frame) {
-            let lba = decode_strip_request(frame)?;
+        if is_strip_request(inner) {
+            let lba = decode_strip_request(inner)?;
             return Ok(Applied::Strip(self.strip_image(lba)?));
         }
-        if is_read_request(frame) {
-            let lba = decode_read_request(frame)?;
+        if is_read_request(inner) {
+            let lba = decode_read_request(inner)?;
             return Ok(Applied::Read(self.strip_image(lba)?));
         }
-        if self.require_sealed {
+        if self.require_sealed && !sealed {
             return Err(ReplError::ChecksumMismatch {
                 expected: 0,
                 got: crc32c(frame),
             });
         }
-        self.apply_inner(frame).map(Applied::Data)
+        // A seal's CRC already vouched for the inner frame; apply it
+        // without requiring a second (nested) seal.
+        self.apply_inner(inner).map(Applied::Data)
     }
 
     fn apply_inner(&mut self, payload_bytes: &[u8]) -> Result<bool, ReplError> {

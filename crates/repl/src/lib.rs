@@ -17,10 +17,10 @@
 //! the block — for PRINS via the backward parity computation
 //! `A_new = P' ⊕ A_old` against the replica's own copy.
 //!
-//! [`ReplicationGroup`] wires a primary to any number of replica
-//! transports with acknowledged delivery (the paper's closed-loop
-//! assumption: a node does not issue the next write until the previous
-//! one is replicated).
+//! On the wire, every frame travels sealed ([`seal_frame_into`]) and is
+//! answered by exactly one response: the replica builds it with
+//! [`encode_response`] (the loop is [`run_replica`]), and the primary
+//! matches it to the frame it answers with [`classify_response`].
 //!
 //! # Example
 //!
@@ -49,27 +49,25 @@
 
 mod apply;
 mod error;
-mod group;
 mod mode;
 mod payload;
 mod range;
+mod replica;
 mod seal;
 mod strategy;
 
 pub use apply::{Applied, ReplicaApplier};
 pub use error::ReplError;
-pub use group::{
-    run_replica, run_replica_applier, verify_consistent, AckPolicy, ReplicationGroup, ACK, NAK,
-};
-pub use mode::ReplicationMode;
+pub use mode::{AckPolicy, ReplicationMode};
 pub use payload::{BatchFrame, Payload, PayloadBody, BATCH_TAG, MAX_WIRE_LEN, STRIP_DELTA_TAG};
 pub use range::SeqRange;
+pub use replica::{run_replica, run_replica_applier, verify_consistent};
 pub use seal::{
-    decode_ack, decode_digest_request, decode_read_ack, decode_read_request, decode_strip_ack,
-    decode_strip_request, encode_ack, encode_digest_ack, encode_digest_request, encode_read_ack,
-    encode_read_request, encode_strip_ack, encode_strip_request, is_digest_request,
-    is_read_request, is_sealed, is_strip_request, open_frame, seal_batch_frame_into, seal_begin,
-    seal_frame, seal_frame_into, AckFrame, SealWriter, DIGEST_ACK, DIGEST_REQ_TAG, NAK_CORRUPT,
-    READ_ACK, READ_REQ_TAG, SEAL_TAG, STRIP_ACK, STRIP_REQ_TAG,
+    classify_response, decode_digest_request, decode_read_request, decode_strip_request,
+    encode_ack, encode_digest_request, encode_read_request, encode_response, encode_strip_request,
+    is_digest_request, is_read_request, is_sealed, is_strip_request, open_frame,
+    seal_batch_frame_into, seal_begin, seal_frame, seal_frame_into, Response, SealWriter, ACK,
+    DIGEST_ACK, DIGEST_REQ_TAG, NAK, NAK_CORRUPT, READ_ACK, READ_REQ_TAG, SEAL_TAG, STRIP_ACK,
+    STRIP_REQ_TAG,
 };
 pub use strategy::{CompressedReplicator, PrinsReplicator, Replicator, TraditionalReplicator};

@@ -93,8 +93,66 @@ pub struct Payload {
     pub body: PayloadBody,
 }
 
+/// Tags of the payload kinds (see the module docs).
+const FULL_TAG: u8 = 0;
+const COMPRESSED_TAG: u8 = 1;
+const PARITY_TAG: u8 = 2;
+const PARITY_COMPRESSED_TAG: u8 = 3;
+const SYNC_MARKER_TAG: u8 = 4;
+
+fn write_header(out: &mut Vec<u8>, tag: u8, lba: Lba) {
+    out.push(tag);
+    encode_varint(out, lba.index());
+}
+
 impl Payload {
+    /// Appends a [`PayloadBody::Full`] payload carrying `block` to
+    /// `out`. Bytes already in `out` are left untouched, as with every
+    /// writer below.
+    pub fn write_full(out: &mut Vec<u8>, lba: Lba, block: &[u8]) {
+        write_header(out, FULL_TAG, lba);
+        out.extend_from_slice(block);
+    }
+
+    /// Appends a [`PayloadBody::Compressed`] payload: the LZSS stream
+    /// `lzss` of a `block_len`-byte block.
+    pub fn write_compressed(out: &mut Vec<u8>, lba: Lba, block_len: usize, lzss: &[u8]) {
+        write_header(out, COMPRESSED_TAG, lba);
+        encode_varint(out, block_len as u64);
+        out.extend_from_slice(lzss);
+    }
+
+    /// Appends the header of a [`PayloadBody::Parity`] payload. The
+    /// caller appends the sparse-parity bytes right after it (e.g. with
+    /// [`SparseCodec::encode_delta_into`](prins_parity::SparseCodec::encode_delta_into)).
+    pub fn write_parity_header(out: &mut Vec<u8>, lba: Lba) {
+        write_header(out, PARITY_TAG, lba);
+    }
+
+    /// Appends a [`PayloadBody::ParityCompressed`] payload: the LZSS
+    /// stream `lzss` of a `sparse_len`-byte sparse parity.
+    pub fn write_parity_compressed(out: &mut Vec<u8>, lba: Lba, sparse_len: usize, lzss: &[u8]) {
+        write_header(out, PARITY_COMPRESSED_TAG, lba);
+        encode_varint(out, sparse_len as u64);
+        out.extend_from_slice(lzss);
+    }
+
+    /// Appends a [`PayloadBody::SyncMarker`] payload.
+    pub fn write_sync_marker(out: &mut Vec<u8>, lba: Lba) {
+        write_header(out, SYNC_MARKER_TAG, lba);
+    }
+
+    /// Appends the header of a [`PayloadBody::StripDelta`] payload. The
+    /// caller appends the sparse delta bytes right after it.
+    pub fn write_strip_delta_header(out: &mut Vec<u8>, lba: Lba, coeff: u8) {
+        write_header(out, STRIP_DELTA_TAG, lba);
+        out.push(coeff);
+    }
+
     /// Serializes to wire bytes.
+    ///
+    /// This is the reference encoding the writers above are checked
+    /// against; the write paths append through the writers instead.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match &self.body {
@@ -403,6 +461,26 @@ mod tests {
             };
             let p = Payload { lba: Lba(lba), body };
             prop_assert_eq!(Payload::from_bytes(&p.to_bytes()).unwrap(), p);
+        }
+
+        /// The append-writers produce the reference `to_bytes` encoding
+        /// of every body, after whatever the buffer already holds.
+        #[test]
+        fn prop_writers_match_to_bytes(lba in any::<u64>(), tag in 0u8..6,
+                                       n in 0usize..256, data in proptest::collection::vec(any::<u8>(), 0..256)) {
+            let mut got = vec![0xC3u8];
+            let l = Lba(lba);
+            let body = match tag {
+                0 => { Payload::write_full(&mut got, l, &data); PayloadBody::Full(data) }
+                1 => { Payload::write_compressed(&mut got, l, n, &data); PayloadBody::Compressed { block_len: n, data } }
+                2 => { Payload::write_parity_header(&mut got, l); got.extend_from_slice(&data); PayloadBody::Parity(data) }
+                3 => { Payload::write_parity_compressed(&mut got, l, n, &data); PayloadBody::ParityCompressed { sparse_len: n, data } }
+                4 => { Payload::write_strip_delta_header(&mut got, l, n as u8); got.extend_from_slice(&data); PayloadBody::StripDelta { coeff: n as u8, data } }
+                _ => { Payload::write_sync_marker(&mut got, l); PayloadBody::SyncMarker }
+            };
+            prop_assert_eq!(got[0], 0xC3);
+            let want = Payload { lba: l, body }.to_bytes();
+            prop_assert_eq!(&got[1..], want.as_slice());
         }
 
         /// Arbitrary bytes must decode to `Ok` or `Err` — never panic.

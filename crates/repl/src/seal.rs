@@ -44,7 +44,12 @@
 use prins_block::{crc32c, crc32c_append, Lba};
 use prins_parity::{decode_varint, encode_varint};
 
-use crate::{ReplError, ACK, NAK};
+use crate::{Applied, ReplError};
+
+/// Acknowledgement byte a replica returns after applying a payload.
+pub const ACK: u8 = 0x06;
+/// Negative acknowledgement (apply failed).
+pub const NAK: u8 = 0x15;
 
 /// Wire tag of a sealed envelope (payload tags are 0–4, batch is 5).
 pub const SEAL_TAG: u8 = 6;
@@ -72,6 +77,10 @@ fn seal_crc(epoch: u64, inner: &[u8]) -> u32 {
 }
 
 /// Wraps `inner` in a sealed envelope tagged with `epoch`.
+///
+/// The reference encoding of the envelope: the write paths seal into
+/// reused buffers with [`seal_frame_into`] and
+/// [`seal_batch_frame_into`], which are checked against it.
 pub fn seal_frame(epoch: u64, inner: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(inner.len() + 16);
     out.push(SEAL_TAG);
@@ -196,14 +205,14 @@ pub fn open_frame(bytes: &[u8]) -> Result<(u64, &[u8]), ReplError> {
 
 /// A decoded acknowledgement frame.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AckFrame {
+struct AckFrame {
     /// [`ACK`], [`NAK`], [`NAK_CORRUPT`] or [`DIGEST_ACK`].
-    pub status: u8,
+    status: u8,
     /// Epoch of the last sealed frame the replica received (0 when the
     /// replica has never seen a seal, or for bare legacy acks).
-    pub epoch: u64,
+    epoch: u64,
     /// Block digest, present only for [`DIGEST_ACK`] responses.
-    pub digest: Option<u32>,
+    digest: Option<u32>,
 }
 
 /// Encodes an epoch-tagged acknowledgement (`status` + varint epoch).
@@ -216,7 +225,7 @@ pub fn encode_ack(status: u8, epoch: u64) -> Vec<u8> {
 
 /// Encodes a digest response: the CRC32C of a block as read from the
 /// replica's own disk.
-pub fn encode_digest_ack(epoch: u64, digest: u32) -> Vec<u8> {
+fn encode_digest_ack(epoch: u64, digest: u32) -> Vec<u8> {
     let mut out = Vec::with_capacity(15);
     out.push(DIGEST_ACK);
     encode_varint(&mut out, epoch);
@@ -232,7 +241,7 @@ pub fn encode_digest_ack(epoch: u64, digest: u32) -> Vec<u8> {
 ///
 /// [`ReplError::Malformed`] on empty frames, unknown status bytes, or
 /// truncated epoch/digest fields.
-pub fn decode_ack(bytes: &[u8]) -> Result<AckFrame, ReplError> {
+fn decode_ack(bytes: &[u8]) -> Result<AckFrame, ReplError> {
     let (&status, rest) = bytes
         .split_first()
         .ok_or_else(|| ReplError::Malformed("empty ack frame".into()))?;
@@ -273,12 +282,36 @@ pub fn decode_ack(bytes: &[u8]) -> Result<AckFrame, ReplError> {
     })
 }
 
-/// Encodes a scrub digest request for `lba`.
-pub fn encode_digest_request(lba: Lba) -> Vec<u8> {
+/// `tag varint(lba)` — the shape of every request frame.
+fn encode_request(tag: u8, lba: Lba) -> Vec<u8> {
     let mut out = Vec::with_capacity(11);
-    out.push(DIGEST_REQ_TAG);
+    out.push(tag);
     encode_varint(&mut out, lba.index());
     out
+}
+
+fn decode_request(tag: u8, kind: &str, bytes: &[u8]) -> Result<Lba, ReplError> {
+    let (&got, rest) = bytes
+        .split_first()
+        .ok_or_else(|| ReplError::Malformed(format!("empty {kind} request")))?;
+    if got != tag {
+        return Err(ReplError::Malformed(format!(
+            "{kind} request tag {got} != {tag}"
+        )));
+    }
+    let (lba, used) = decode_varint(rest)
+        .ok_or_else(|| ReplError::Malformed(format!("truncated {kind} request lba")))?;
+    if used != rest.len() {
+        return Err(ReplError::Malformed(format!(
+            "trailing bytes after {kind} request"
+        )));
+    }
+    Ok(Lba(lba))
+}
+
+/// Encodes a scrub digest request for `lba`.
+pub fn encode_digest_request(lba: Lba) -> Vec<u8> {
+    encode_request(DIGEST_REQ_TAG, lba)
 }
 
 /// Whether `bytes` starts like a digest request.
@@ -293,30 +326,12 @@ pub fn is_digest_request(bytes: &[u8]) -> bool {
 /// [`ReplError::Malformed`] on a wrong tag, truncated varint, or
 /// trailing bytes.
 pub fn decode_digest_request(bytes: &[u8]) -> Result<Lba, ReplError> {
-    let (&tag, rest) = bytes
-        .split_first()
-        .ok_or_else(|| ReplError::Malformed("empty digest request".into()))?;
-    if tag != DIGEST_REQ_TAG {
-        return Err(ReplError::Malformed(format!(
-            "digest request tag {tag} != {DIGEST_REQ_TAG}"
-        )));
-    }
-    let (lba, used) = decode_varint(rest)
-        .ok_or_else(|| ReplError::Malformed("truncated digest request lba".into()))?;
-    if used != rest.len() {
-        return Err(ReplError::Malformed(
-            "trailing bytes after digest request".into(),
-        ));
-    }
-    Ok(Lba(lba))
+    decode_request(DIGEST_REQ_TAG, "digest", bytes)
 }
 
 /// Encodes a rebuild strip read request for the strip block at `lba`.
 pub fn encode_strip_request(lba: Lba) -> Vec<u8> {
-    let mut out = Vec::with_capacity(11);
-    out.push(STRIP_REQ_TAG);
-    encode_varint(&mut out, lba.index());
-    out
+    encode_request(STRIP_REQ_TAG, lba)
 }
 
 /// Whether `bytes` starts like a strip read request.
@@ -328,25 +343,9 @@ pub fn is_strip_request(bytes: &[u8]) -> bool {
 ///
 /// # Errors
 ///
-/// [`ReplError::Malformed`] on a wrong tag, truncated varint, or
-/// trailing bytes.
+/// As [`decode_digest_request`].
 pub fn decode_strip_request(bytes: &[u8]) -> Result<Lba, ReplError> {
-    let (&tag, rest) = bytes
-        .split_first()
-        .ok_or_else(|| ReplError::Malformed("empty strip request".into()))?;
-    if tag != STRIP_REQ_TAG {
-        return Err(ReplError::Malformed(format!(
-            "strip request tag {tag} != {STRIP_REQ_TAG}"
-        )));
-    }
-    let (lba, used) = decode_varint(rest)
-        .ok_or_else(|| ReplError::Malformed("truncated strip request lba".into()))?;
-    if used != rest.len() {
-        return Err(ReplError::Malformed(
-            "trailing bytes after strip request".into(),
-        ));
-    }
-    Ok(Lba(lba))
+    decode_request(STRIP_REQ_TAG, "strip", bytes)
 }
 
 /// Encodes an offloaded block read request for `lba`.
@@ -357,10 +356,7 @@ pub fn decode_strip_request(bytes: &[u8]) -> Result<Lba, ReplError> {
 /// replica echoes back in its [`READ_ACK`] is what lets the primary
 /// reject answers computed before a rejoin.
 pub fn encode_read_request(lba: Lba) -> Vec<u8> {
-    let mut out = Vec::with_capacity(11);
-    out.push(READ_REQ_TAG);
-    encode_varint(&mut out, lba.index());
-    out
+    encode_request(READ_REQ_TAG, lba)
 }
 
 /// Whether `bytes` starts like an offloaded read request.
@@ -372,63 +368,44 @@ pub fn is_read_request(bytes: &[u8]) -> bool {
 ///
 /// # Errors
 ///
-/// [`ReplError::Malformed`] on a wrong tag, truncated varint, or
-/// trailing bytes.
+/// As [`decode_digest_request`].
 pub fn decode_read_request(bytes: &[u8]) -> Result<Lba, ReplError> {
-    let (&tag, rest) = bytes
-        .split_first()
-        .ok_or_else(|| ReplError::Malformed("empty read request".into()))?;
-    if tag != READ_REQ_TAG {
-        return Err(ReplError::Malformed(format!(
-            "read request tag {tag} != {READ_REQ_TAG}"
-        )));
-    }
-    let (lba, used) = decode_varint(rest)
-        .ok_or_else(|| ReplError::Malformed("truncated read request lba".into()))?;
-    if used != rest.len() {
-        return Err(ReplError::Malformed(
-            "trailing bytes after read request".into(),
-        ));
-    }
-    Ok(Lba(lba))
+    decode_request(READ_REQ_TAG, "read", bytes)
 }
 
-/// Encodes an offloaded read response: the zero-run-encoded block image
-/// as read from the replica's disk, CRC-protected so a served read is
-/// never silently damaged in flight.
+/// Encodes an image response — status [`READ_ACK`] or [`STRIP_ACK`]:
+/// the zero-run-encoded block image as read from the replica's disk,
+/// CRC-protected like a sealed frame so neither a served read nor a
+/// rebuild ever decodes an image damaged in flight.
 ///
 /// ```text
-/// read-ack := status(0x1b) varint(epoch) crc32c(u32 LE) sparse-bytes
+/// image-ack := status(0x1a|0x1b) varint(epoch) crc32c(u32 LE) sparse-bytes
 /// ```
-pub fn encode_read_ack(epoch: u64, sparse: &[u8]) -> Vec<u8> {
+fn encode_image_ack(status: u8, epoch: u64, sparse: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(sparse.len() + 16);
-    out.push(READ_ACK);
+    out.push(status);
     encode_varint(&mut out, epoch);
     out.extend_from_slice(&seal_crc(epoch, sparse).to_le_bytes());
     out.extend_from_slice(sparse);
     out
 }
 
-/// Decodes an offloaded read response, returning `(epoch, sparse-bytes)`.
+/// Decodes an image response of either status, returning
+/// `(epoch, sparse-bytes)`.
 ///
 /// # Errors
 ///
 /// [`ReplError::Malformed`] on structure errors;
 /// [`ReplError::ChecksumMismatch`] if the image was damaged in flight.
-pub fn decode_read_ack(bytes: &[u8]) -> Result<(u64, &[u8]), ReplError> {
-    let (&status, rest) = bytes
-        .split_first()
-        .ok_or_else(|| ReplError::Malformed("empty read ack".into()))?;
-    if status != READ_ACK {
-        return Err(ReplError::Malformed(format!(
-            "read ack status {status:#04x} != {READ_ACK:#04x}"
-        )));
-    }
+fn decode_image_ack(bytes: &[u8]) -> Result<(u64, &[u8]), ReplError> {
+    let rest = bytes
+        .get(1..)
+        .ok_or_else(|| ReplError::Malformed("empty image ack".into()))?;
     let (epoch, used) = decode_varint(rest)
-        .ok_or_else(|| ReplError::Malformed("truncated read ack epoch".into()))?;
+        .ok_or_else(|| ReplError::Malformed("truncated image ack epoch".into()))?;
     let rest = &rest[used..];
     if rest.len() < 4 {
-        return Err(ReplError::Malformed("truncated read ack checksum".into()));
+        return Err(ReplError::Malformed("truncated image ack checksum".into()));
     }
     let expected = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]);
     let sparse = &rest[4..];
@@ -439,50 +416,104 @@ pub fn decode_read_ack(bytes: &[u8]) -> Result<(u64, &[u8]), ReplError> {
     Ok((epoch, sparse))
 }
 
-/// Encodes a strip read response: the zero-run-encoded strip image as
-/// read from the replica's disk, CRC-protected like a sealed frame so
-/// a rebuild never decodes a corrupted contribution.
+/// The answer frame a replica sends back for one incoming frame, given
+/// what [`ReplicaApplier::handle`](crate::ReplicaApplier::handle) made
+/// of it and the epoch to echo
+/// ([`ReplicaApplier::last_epoch`](crate::ReplicaApplier::last_epoch)).
 ///
-/// ```text
-/// strip-ack := status(0x1a) varint(epoch) crc32c(u32 LE) sparse-bytes
-/// ```
-pub fn encode_strip_ack(epoch: u64, sparse: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(sparse.len() + 16);
-    out.push(STRIP_ACK);
-    encode_varint(&mut out, epoch);
-    out.extend_from_slice(&seal_crc(epoch, sparse).to_le_bytes());
-    out.extend_from_slice(sparse);
-    out
+/// A frame that failed its integrity check is answered with
+/// [`NAK_CORRUPT`] so the sender retransmits; any other failure with
+/// [`NAK`].
+pub fn encode_response(outcome: &Result<Applied, ReplError>, epoch: u64) -> Vec<u8> {
+    match outcome {
+        Ok(Applied::Data(_)) => encode_ack(ACK, epoch),
+        Ok(Applied::Digest(digest)) => encode_digest_ack(epoch, *digest),
+        Ok(Applied::Strip(sparse)) => encode_image_ack(STRIP_ACK, epoch, sparse),
+        Ok(Applied::Read(sparse)) => encode_image_ack(READ_ACK, epoch, sparse),
+        Err(ReplError::ChecksumMismatch { .. }) => encode_ack(NAK_CORRUPT, epoch),
+        Err(_) => encode_ack(NAK, epoch),
+    }
 }
 
-/// Decodes a strip read response, returning `(epoch, sparse-bytes)`.
+/// A replica's answer, as sorted by [`classify_response`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Response<'a> {
+    /// The frame was applied ([`ACK`]).
+    Ack,
+    /// A scrub digest: the CRC32C of the probed block as read from the
+    /// replica's disk ([`DIGEST_ACK`]).
+    Digest(u32),
+    /// The zero-run-encoded block image answering a read request
+    /// ([`READ_ACK`]).
+    Read(&'a [u8]),
+    /// The zero-run-encoded strip image answering a strip request
+    /// ([`STRIP_ACK`]).
+    Strip(&'a [u8]),
+    /// An answer from an epoch older than the frame being collected: it
+    /// belongs to a frame already booked as failed. Drop it and wait
+    /// for the next one.
+    Stale,
+}
+
+/// Decodes one response frame from replica `replica` and matches it to
+/// the frame it answers, which was sealed under `min_epoch`.
+///
+/// An answer carrying an older epoch is [`Response::Stale`] — except a
+/// [`NAK_CORRUPT`]: a corrupted frame cannot echo the epoch it was
+/// sealed under (the tag was destroyed in flight), so the replica
+/// answers with whatever epoch it last saw. Exempting it is the
+/// conservative choice: a genuinely stale corrupt NAK at worst marks
+/// one in-flight frame uncertain, while dropping a current one would
+/// shift FIFO credit onto the *next* answer and silently credit the
+/// rejected frame. Callers that filter no epochs pass `min_epoch = 0`.
 ///
 /// # Errors
 ///
-/// [`ReplError::Malformed`] on structure errors;
-/// [`ReplError::ChecksumMismatch`] if the image was damaged in flight.
-pub fn decode_strip_ack(bytes: &[u8]) -> Result<(u64, &[u8]), ReplError> {
-    let (&status, rest) = bytes
-        .split_first()
-        .ok_or_else(|| ReplError::Malformed("empty strip ack".into()))?;
-    if status != STRIP_ACK {
-        return Err(ReplError::Malformed(format!(
-            "strip ack status {status:#04x} != {STRIP_ACK:#04x}"
-        )));
+/// * [`ReplError::Nak`] for a current [`NAK`],
+/// * [`ReplError::ChecksumMismatch`] for a [`NAK_CORRUPT`] or an image
+///   answer damaged in flight,
+/// * [`ReplError::Malformed`] for a structurally broken image answer,
+/// * [`ReplError::MissingAck`] for anything else, carrying the first
+///   byte of the frame.
+pub fn classify_response(
+    frame: &[u8],
+    replica: usize,
+    min_epoch: u64,
+) -> Result<Response<'_>, ReplError> {
+    let (epoch, answer) = match frame.first() {
+        Some(&READ_ACK) => {
+            let (epoch, image) = decode_image_ack(frame)?;
+            (epoch, Ok(Response::Read(image)))
+        }
+        Some(&STRIP_ACK) => {
+            let (epoch, image) = decode_image_ack(frame)?;
+            (epoch, Ok(Response::Strip(image)))
+        }
+        first => {
+            let garbage = || ReplError::MissingAck {
+                replica,
+                got: first.copied(),
+            };
+            let ack = decode_ack(frame).map_err(|_| garbage())?;
+            let answer = match (ack.status, ack.digest) {
+                (NAK_CORRUPT, _) => {
+                    return Err(ReplError::ChecksumMismatch {
+                        expected: 0,
+                        got: 0,
+                    })
+                }
+                (ACK, _) => Ok(Response::Ack),
+                (NAK, _) => Err(ReplError::Nak { replica }),
+                (_, Some(digest)) => Ok(Response::Digest(digest)),
+                _ => Err(garbage()),
+            };
+            (ack.epoch, answer)
+        }
+    };
+    if epoch < min_epoch {
+        return Ok(Response::Stale);
     }
-    let (epoch, used) = decode_varint(rest)
-        .ok_or_else(|| ReplError::Malformed("truncated strip ack epoch".into()))?;
-    let rest = &rest[used..];
-    if rest.len() < 4 {
-        return Err(ReplError::Malformed("truncated strip ack checksum".into()));
-    }
-    let expected = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]);
-    let sparse = &rest[4..];
-    let got = seal_crc(epoch, sparse);
-    if got != expected {
-        return Err(ReplError::ChecksumMismatch { expected, got });
-    }
-    Ok((epoch, sparse))
+    answer
 }
 
 #[cfg(test)]
@@ -605,31 +636,17 @@ mod tests {
     }
 
     #[test]
-    fn strip_request_and_ack_roundtrip() {
+    fn strip_request_roundtrips() {
         let req = encode_strip_request(Lba(77));
         assert!(is_strip_request(&req));
         assert!(!is_digest_request(&req));
         assert_eq!(decode_strip_request(&req).unwrap(), Lba(77));
         assert!(decode_strip_request(&[STRIP_REQ_TAG]).is_err());
         assert!(decode_strip_request(&[STRIP_REQ_TAG, 0, 0]).is_err());
-
-        let ack = encode_strip_ack(5, b"sparse-strip");
-        let (epoch, body) = decode_strip_ack(&ack).unwrap();
-        assert_eq!((epoch, body), (5, b"sparse-strip".as_slice()));
-        // Damage anywhere in the body is caught by the seal CRC.
-        let mut bad = ack.clone();
-        let last = bad.len() - 1;
-        bad[last] ^= 0x40;
-        assert!(matches!(
-            decode_strip_ack(&bad),
-            Err(ReplError::ChecksumMismatch { .. })
-        ));
-        assert!(decode_strip_ack(&[STRIP_ACK, 0, 1, 2]).is_err());
-        assert!(decode_strip_ack(&[ACK, 0]).is_err());
     }
 
     #[test]
-    fn read_request_and_ack_roundtrip() {
+    fn read_request_roundtrips() {
         let req = encode_read_request(Lba(4321));
         assert!(is_read_request(&req));
         assert!(!is_strip_request(&req));
@@ -638,20 +655,109 @@ mod tests {
         assert!(decode_read_request(&[READ_REQ_TAG]).is_err());
         assert!(decode_read_request(&[READ_REQ_TAG, 0, 0]).is_err());
         assert!(decode_read_request(&[0, 0]).is_err());
+    }
 
-        let ack = encode_read_ack(11, b"sparse-block");
-        let (epoch, body) = decode_read_ack(&ack).unwrap();
-        assert_eq!((epoch, body), (11, b"sparse-block".as_slice()));
-        // Damage anywhere in the body is caught by the seal CRC.
-        let mut bad = ack.clone();
-        let last = bad.len() - 1;
-        bad[last] ^= 0x40;
-        assert!(matches!(
-            decode_read_ack(&bad),
-            Err(ReplError::ChecksumMismatch { .. })
-        ));
-        assert!(decode_read_ack(&[READ_ACK, 0, 1, 2]).is_err());
-        assert!(decode_read_ack(&encode_strip_ack(11, b"x")).is_err());
+    /// One row per answer shape: what the classifier makes of it when
+    /// the frame it answers was sealed under epoch 5.
+    #[test]
+    fn classifier_sorts_every_answer_shape() {
+        use Response::{Ack, Digest, Read, Stale, Strip};
+        let image = encode_image_ack(READ_ACK, 5, b"block");
+        let mut damaged = image.clone();
+        let last = damaged.len() - 1;
+        damaged[last] ^= 0x40;
+        let ok = |r: Response<'static>| -> Result<Response<'static>, &str> { Ok(r) };
+        let rows: Vec<(&str, Vec<u8>, Result<Response, &str>)> = vec![
+            ("current ack", encode_ack(ACK, 5), ok(Ack)),
+            ("newer ack", encode_ack(ACK, 6), ok(Ack)),
+            ("stale ack", encode_ack(ACK, 4), ok(Stale)),
+            ("bare legacy ack", vec![ACK], ok(Stale)),
+            ("current nak", encode_ack(NAK, 5), Err("nak")),
+            ("stale nak", encode_ack(NAK, 4), ok(Stale)),
+            (
+                "current corrupt nak",
+                encode_ack(NAK_CORRUPT, 5),
+                Err("checksum"),
+            ),
+            (
+                "stale corrupt nak",
+                encode_ack(NAK_CORRUPT, 1),
+                Err("checksum"),
+            ),
+            ("garbage byte", vec![0x7f], Err("garbage 0x7f")),
+            ("empty frame", vec![], Err("garbage none")),
+            (
+                "digest",
+                encode_digest_ack(5, 0xdead_beef),
+                ok(Digest(0xdead_beef)),
+            ),
+            ("stale digest", encode_digest_ack(2, 1), ok(Stale)),
+            ("read", image.clone(), ok(Read(b"block"))),
+            (
+                "stale read",
+                encode_image_ack(READ_ACK, 4, b"old"),
+                ok(Stale),
+            ),
+            (
+                "strip",
+                encode_image_ack(STRIP_ACK, 7, b"strip"),
+                ok(Strip(b"strip")),
+            ),
+            (
+                "stale strip",
+                encode_image_ack(STRIP_ACK, 0, b"x"),
+                ok(Stale),
+            ),
+            ("damaged read", damaged, Err("checksum")),
+            ("truncated read", vec![READ_ACK, 5, 1, 2], Err("malformed")),
+        ];
+        for (name, frame, want) in rows {
+            let got = classify_response(&frame, 3, 5).map_err(|e| match e {
+                ReplError::Nak { replica: 3 } => "nak",
+                ReplError::ChecksumMismatch { .. } => "checksum",
+                ReplError::MissingAck {
+                    replica: 3,
+                    got: Some(0x7f),
+                } => "garbage 0x7f",
+                ReplError::MissingAck {
+                    replica: 3,
+                    got: None,
+                } => "garbage none",
+                ReplError::Malformed(_) => "malformed",
+                other => panic!("{name}: unexpected {other}"),
+            });
+            assert_eq!(got, want, "{name}");
+        }
+        // Without an epoch filter nothing is stale.
+        assert_eq!(classify_response(&[ACK], 0, 0).unwrap(), Response::Ack);
+    }
+
+    #[test]
+    fn responses_answer_every_outcome() {
+        let rows: Vec<(Result<Applied, ReplError>, Vec<u8>)> = vec![
+            (Ok(Applied::Data(true)), encode_ack(ACK, 9)),
+            (Ok(Applied::Data(false)), encode_ack(ACK, 9)),
+            (Ok(Applied::Digest(42)), encode_digest_ack(9, 42)),
+            (
+                Ok(Applied::Strip(b"s".to_vec())),
+                encode_image_ack(STRIP_ACK, 9, b"s"),
+            ),
+            (
+                Ok(Applied::Read(b"r".to_vec())),
+                encode_image_ack(READ_ACK, 9, b"r"),
+            ),
+            (
+                Err(ReplError::ChecksumMismatch {
+                    expected: 1,
+                    got: 2,
+                }),
+                encode_ack(NAK_CORRUPT, 9),
+            ),
+            (Err(ReplError::Malformed("x".into())), encode_ack(NAK, 9)),
+        ];
+        for (outcome, want) in rows {
+            assert_eq!(encode_response(&outcome, 9), want, "{outcome:?}");
+        }
     }
 
     proptest! {
@@ -686,7 +792,8 @@ mod tests {
             let _ = decode_ack(&bytes);
             let _ = decode_digest_request(&bytes);
             let _ = decode_read_request(&bytes);
-            let _ = decode_read_ack(&bytes);
+            let _ = decode_image_ack(&bytes);
+            let _ = classify_response(&bytes, 0, 1);
         }
 
         /// The in-place builder produces the exact bytes of the

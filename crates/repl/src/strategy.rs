@@ -2,31 +2,33 @@
 
 use prins_block::Lba;
 use prins_compress::{Codec, Lzss};
-use prins_parity::{ErasureCodec, SparseCodec, XorCodec};
+use prins_parity::SparseCodec;
 
-use crate::{Payload, PayloadBody};
+use crate::Payload;
 
 /// A replication strategy: turns an observed block write into a wire
 /// payload.
 ///
-/// `encode_write` is pure (no I/O), so the traffic experiments can run a
+/// Encoding is pure (no I/O), so the traffic experiments can run a
 /// recorded write stream through several strategies and compare byte
 /// counts directly — exactly what Figures 4–7 of the paper plot.
 pub trait Replicator: Send + Sync {
-    /// Encodes the write of `new` over `old` at `lba` into wire bytes.
+    /// Appends the wire payload of the write of `new` over `old` at
+    /// `lba` to `out`; bytes already in `out` are left untouched. The
+    /// write paths call this with reused or pooled buffers.
     ///
     /// # Panics
     ///
     /// Implementations may panic if `old.len() != new.len()`; callers
     /// always pass images of one device block.
-    fn encode_write(&self, lba: Lba, old: &[u8], new: &[u8]) -> Vec<u8>;
+    fn encode_write_into(&self, lba: Lba, old: &[u8], new: &[u8], out: &mut Vec<u8>);
 
-    /// Appends the wire bytes of [`encode_write`](Self::encode_write) to
-    /// `out`, byte-identically. The default delegates to `encode_write`;
-    /// strategies on the zero-copy hot path override this to serialize
-    /// straight into a pooled buffer without intermediate allocations.
-    fn encode_write_into(&self, lba: Lba, old: &[u8], new: &[u8], out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.encode_write(lba, old, new));
+    /// [`encode_write_into`](Self::encode_write_into) into a fresh
+    /// buffer.
+    fn encode_write(&self, lba: Lba, old: &[u8], new: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(new.len() + 16);
+        self.encode_write_into(lba, old, new, &mut out);
+        out
     }
 
     /// Short name for reports ("traditional", "compressed", "prins", …).
@@ -38,18 +40,8 @@ pub trait Replicator: Send + Sync {
 pub struct TraditionalReplicator;
 
 impl Replicator for TraditionalReplicator {
-    fn encode_write(&self, lba: Lba, _old: &[u8], new: &[u8]) -> Vec<u8> {
-        Payload {
-            lba,
-            body: PayloadBody::Full(new.to_vec()),
-        }
-        .to_bytes()
-    }
-
     fn encode_write_into(&self, lba: Lba, _old: &[u8], new: &[u8], out: &mut Vec<u8>) {
-        out.push(0); // PayloadBody::Full tag
-        prins_parity::encode_varint(out, lba.index());
-        out.extend_from_slice(new);
+        Payload::write_full(out, lba, new);
     }
 
     fn name(&self) -> &'static str {
@@ -72,15 +64,8 @@ impl CompressedReplicator {
 }
 
 impl Replicator for CompressedReplicator {
-    fn encode_write(&self, lba: Lba, _old: &[u8], new: &[u8]) -> Vec<u8> {
-        Payload {
-            lba,
-            body: PayloadBody::Compressed {
-                block_len: new.len(),
-                data: self.codec.compress(new),
-            },
-        }
-        .to_bytes()
+    fn encode_write_into(&self, lba: Lba, _old: &[u8], new: &[u8], out: &mut Vec<u8>) {
+        Payload::write_compressed(out, lba, new.len(), &self.codec.compress(new));
     }
 
     fn name(&self) -> &'static str {
@@ -92,9 +77,6 @@ impl Replicator for CompressedReplicator {
 #[derive(Clone, Copy, Debug)]
 pub struct PrinsReplicator {
     codec: SparseCodec,
-    // Delta algebra behind the ErasureCodec seam: mirroring is the
-    // m=1 code, so the same call site serves RS strip deltas.
-    ec: XorCodec,
     compress_parity: bool,
     lzss: Lzss,
 }
@@ -104,7 +86,6 @@ impl PrinsReplicator {
     pub fn new() -> Self {
         Self {
             codec: SparseCodec::default(),
-            ec: XorCodec::mirror(),
             compress_parity: false,
             lzss: Lzss::fast(),
         }
@@ -133,12 +114,10 @@ impl PrinsReplicator {
         self.codec
     }
 
-    /// The single decision point for the full-image fallback, shared by
-    /// [`encode_write`](Replicator::encode_write) and
-    /// [`encode_write_into`](Replicator::encode_write_into) so the two
-    /// paths cannot drift: ship a full image when the encoded parity
-    /// would be at least as large as the block. Decided from a scan-only
-    /// pass ([`SparseCodec::delta_wire_info`], no allocation); the exact
+    /// The single decision point for the full-image fallback: ship a
+    /// full image when the encoded parity would be at least as large as
+    /// the block. Decided from a scan-only pass
+    /// ([`SparseCodec::delta_wire_info`], no allocation); the exact
     /// sparse wire length rides along so callers can reuse the scan.
     pub fn full_image_fallback(&self, old: &[u8], new: &[u8]) -> (bool, usize) {
         let (_, wire) = self.codec.delta_wire_info(old, new);
@@ -153,7 +132,7 @@ impl Default for PrinsReplicator {
 }
 
 impl Replicator for PrinsReplicator {
-    fn encode_write(&self, lba: Lba, old: &[u8], new: &[u8]) -> Vec<u8> {
+    fn encode_write_into(&self, lba: Lba, old: &[u8], new: &[u8], out: &mut Vec<u8>) {
         // Guard: a pathological write that changes (nearly) the whole
         // block would make the encoded parity *larger* than the block
         // (offsets + lengths on top of the data). Fall back to a full
@@ -161,52 +140,29 @@ impl Replicator for PrinsReplicator {
         // worse than traditional replication on any single write.
         let (fallback, wire) = self.full_image_fallback(old, new);
         if fallback {
-            return Payload {
-                lba,
-                body: PayloadBody::Full(new.to_vec()),
-            }
-            .to_bytes();
-        }
-        let parity = self.ec.delta(old, new);
-        let sparse = self.codec.encode(&parity).to_bytes();
-        debug_assert_eq!(sparse.len(), wire, "delta_wire_info must be exact");
-        let body = if self.compress_parity {
-            let compressed = self.lzss.compress(&sparse);
-            if compressed.len() < sparse.len() {
-                PayloadBody::ParityCompressed {
-                    sparse_len: sparse.len(),
-                    data: compressed,
-                }
-            } else {
-                PayloadBody::Parity(sparse)
-            }
-        } else {
-            PayloadBody::Parity(sparse)
-        };
-        Payload { lba, body }.to_bytes()
-    }
-
-    fn encode_write_into(&self, lba: Lba, old: &[u8], new: &[u8], out: &mut Vec<u8>) {
-        if self.compress_parity {
-            // The ablation path runs LZSS over the encoded parity; the
-            // compressor allocates anyway, so the fused encoder buys
-            // nothing here.
-            out.extend_from_slice(&self.encode_write(lba, old, new));
+            Payload::write_full(out, lba, new);
             return;
         }
-        // Decide sparse-vs-full from a scan-only pass, then serialize the
-        // winner straight into `out` — the dense parity block and the
-        // intermediate sparse buffer of `encode_write` never exist.
-        let (fallback, _) = self.full_image_fallback(old, new);
-        if fallback {
-            out.push(0); // PayloadBody::Full tag
-            prins_parity::encode_varint(out, lba.index());
-            out.extend_from_slice(new);
-        } else {
-            out.push(2); // PayloadBody::Parity tag
-            prins_parity::encode_varint(out, lba.index());
-            self.codec.encode_delta_into(old, new, out);
+        if self.compress_parity {
+            // The ablation path runs LZSS over the encoded parity; the
+            // compressor allocates anyway, so the sparse bytes get a
+            // buffer of their own.
+            let mut sparse = Vec::with_capacity(wire);
+            self.codec.encode_delta_into(old, new, &mut sparse);
+            let compressed = self.lzss.compress(&sparse);
+            if compressed.len() < sparse.len() {
+                Payload::write_parity_compressed(out, lba, sparse.len(), &compressed);
+            } else {
+                Payload::write_parity_header(out, lba);
+                out.extend_from_slice(&sparse);
+            }
+            return;
         }
+        // The sparse parity is serialized straight into `out`: neither
+        // the dense parity block nor an intermediate sparse buffer ever
+        // exists.
+        Payload::write_parity_header(out, lba);
+        self.codec.encode_delta_into(old, new, out);
     }
 
     fn name(&self) -> &'static str {
@@ -233,6 +189,39 @@ mod tests {
             *b = rng.random();
         }
         (old, new)
+    }
+
+    /// The reference wire bytes of each strategy, built from the
+    /// dense parity and the `to_bytes` serializers rather than the
+    /// fused writers the strategies use.
+    fn reference(name: &str, lba: Lba, old: &[u8], new: &[u8]) -> Vec<u8> {
+        use crate::PayloadBody;
+        let full = || PayloadBody::Full(new.to_vec());
+        let sparse = SparseCodec::default()
+            .encode(&prins_parity::forward_parity(old, new))
+            .to_bytes();
+        let body = match name {
+            "traditional" => full(),
+            "compressed" => PayloadBody::Compressed {
+                block_len: new.len(),
+                data: Lzss::default().compress(new),
+            },
+            _ if sparse.len() >= new.len() => full(),
+            "prins" => PayloadBody::Parity(sparse),
+            "prins+lzss" => {
+                let data = Lzss::fast().compress(&sparse);
+                if data.len() < sparse.len() {
+                    PayloadBody::ParityCompressed {
+                        sparse_len: sparse.len(),
+                        data,
+                    }
+                } else {
+                    PayloadBody::Parity(sparse)
+                }
+            }
+            other => panic!("no reference for {other}"),
+        };
+        Payload { lba, body }.to_bytes()
     }
 
     #[test]
@@ -316,17 +305,25 @@ mod tests {
     }
 
     #[test]
-    fn encode_write_into_matches_encode_write_on_fallback() {
+    fn fallback_matches_the_reference_full_image() {
         // Full-block change exercises the Full-image fallback branch of
-        // the fused PRINS encoder.
+        // both PRINS encoders.
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         let mut old = vec![0u8; 4096];
         rng.fill_bytes(&mut old);
         let new: Vec<u8> = old.iter().map(|b| b ^ 0x5a).collect();
-        let r = PrinsReplicator::new();
-        let mut fused = Vec::new();
-        r.encode_write_into(Lba(17), &old, &new, &mut fused);
-        assert_eq!(fused, r.encode_write(Lba(17), &old, &new));
+        for r in [
+            PrinsReplicator::new(),
+            PrinsReplicator::with_parity_compression(),
+        ] {
+            let mut got = Vec::new();
+            r.encode_write_into(Lba(17), &old, &new, &mut got);
+            assert_eq!(got, reference(r.name(), Lba(17), &old, &new));
+            assert!(matches!(
+                Payload::from_bytes(&got).unwrap().body,
+                crate::PayloadBody::Full(_)
+            ));
+        }
     }
 
     #[test]
@@ -343,11 +340,11 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// `encode_write_into` must be byte-identical to `encode_write`
-        /// for every strategy and every write shape: the pooled hot path
-        /// may never change what goes on the wire.
+        /// Every strategy's wire bytes equal the reference encoding for
+        /// every write shape, and appending never disturbs bytes already
+        /// in the buffer.
         #[test]
-        fn prop_encode_write_into_is_byte_identical(
+        fn prop_encode_write_into_matches_the_reference(
             lba in proptest::prelude::any::<u32>(),
             old in proptest::collection::vec(proptest::prelude::any::<u8>(), 1..1024),
             flips in proptest::collection::vec(
@@ -364,7 +361,7 @@ mod tests {
                 Box::new(PrinsReplicator::with_parity_compression()),
             ];
             for r in &reps {
-                let want = r.encode_write(Lba(lba as u64), &old, &new);
+                let want = reference(r.name(), Lba(lba as u64), &old, &new);
                 let mut got = vec![0xA5u8]; // pre-existing byte must survive
                 r.encode_write_into(Lba(lba as u64), &old, &new, &mut got);
                 proptest::prop_assert_eq!(&got[..1], &[0xA5u8][..], "{}", r.name());

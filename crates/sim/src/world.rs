@@ -25,8 +25,7 @@ use prins_net::{SimLinkCtl, SimNet, SimTransport, Transport};
 use prins_obs::{EventKind, Registry, TraceConfig, TraceSink};
 use prins_parity::ErasureCodec;
 use prins_repl::{
-    encode_ack, encode_digest_ack, is_sealed, open_frame, AckPolicy, Applied, BatchFrame, Payload,
-    ReplError, ReplicaApplier, ACK, NAK, NAK_CORRUPT,
+    encode_response, is_sealed, open_frame, AckPolicy, BatchFrame, Payload, ReplicaApplier,
 };
 
 /// FNV-1a over a block image — the oracle's content fingerprint.
@@ -78,34 +77,30 @@ fn spawn_replica(
 ) -> (SimTransport, SimLinkCtl, Arc<MemDevice>, usize) {
     let (a, b, ctl) = net.add_link(&format!("replica{idx}"), delay);
     let device = Arc::new(MemDevice::new(block_size, blocks));
-    let dev = Arc::clone(&device);
-    let tr = b.clone();
     let replica_ep = b.endpoint_index();
-    // The applier lives outside the actor closure: it must keep its
-    // last-seen epoch and per-LBA checksum table across deliveries, or
-    // every ack would regress to epoch 0 and verify-on-apply would
-    // never see a stale base. Strict mode: a bit flip on the seal tag
-    // itself must not let a damaged frame bypass verification.
-    let mut applier = ReplicaApplier::new(dev).require_sealed(true);
+    serve(net, b, ReplicaApplier::new(Arc::clone(&device)));
+    (a, ctl, device, replica_ep)
+}
+
+/// Installs the replica actor on `endpoint`: every delivered frame goes
+/// through `applier` and is answered with [`encode_response`]. The
+/// applier is moved into the actor and lives across deliveries — it
+/// must keep its last-seen epoch and per-LBA checksum table, or every
+/// ack would regress to epoch 0 and verify-on-apply would never see a
+/// stale base. Strict mode: a bit flip on the seal tag itself must not
+/// let a damaged frame bypass verification.
+fn serve(net: &SimNet, endpoint: SimTransport, applier: ReplicaApplier<Arc<MemDevice>>) {
+    let mut applier = applier.require_sealed(true);
+    let tr = endpoint.clone();
     net.set_actor(
-        &b,
+        &endpoint,
         Box::new(move || {
             while let Ok(Some(frame)) = tr.try_recv() {
-                let ack = match applier.handle(&frame) {
-                    Ok(Applied::Data(_)) => encode_ack(ACK, applier.last_epoch()),
-                    Ok(Applied::Digest(d)) => encode_digest_ack(applier.last_epoch(), d),
-                    Ok(Applied::Strip(s)) => prins_repl::encode_strip_ack(applier.last_epoch(), &s),
-                    Ok(Applied::Read(s)) => prins_repl::encode_read_ack(applier.last_epoch(), &s),
-                    Err(ReplError::ChecksumMismatch { .. }) => {
-                        encode_ack(NAK_CORRUPT, applier.last_epoch())
-                    }
-                    Err(_) => encode_ack(NAK, applier.last_epoch()),
-                };
-                let _ = tr.send(&ack);
+                let outcome = applier.handle(&frame);
+                let _ = tr.send(&encode_response(&outcome, applier.last_epoch()));
             }
         }),
     );
-    (a, ctl, device, replica_ep)
 }
 
 /// Extracts the LBAs a wire frame writes to (batch frames recurse).
@@ -547,7 +542,7 @@ impl std::fmt::Debug for ClusterWorld {
 /// (identity addressing), the precondition migration needs.
 pub struct ShardWorld {
     net: SimNet,
-    sharded: ShardedCluster<MemDevice, RendezvousPlacement>,
+    sharded: ShardedCluster<MemDevice>,
     registry: Arc<Registry>,
     trace: Arc<TraceSink>,
     /// `ctls[g][r]` is group g, replica r's link.
@@ -661,12 +656,12 @@ impl ShardWorld {
     }
 
     /// The sharded cluster under test.
-    pub fn sharded(&self) -> &ShardedCluster<MemDevice, RendezvousPlacement> {
+    pub fn sharded(&self) -> &ShardedCluster<MemDevice> {
         &self.sharded
     }
 
     /// Mutable access to the sharded cluster under test.
-    pub fn sharded_mut(&mut self) -> &mut ShardedCluster<MemDevice, RendezvousPlacement> {
+    pub fn sharded_mut(&mut self) -> &mut ShardedCluster<MemDevice> {
         &mut self.sharded
     }
 
@@ -1154,29 +1149,9 @@ fn spawn_strip_node(
 ) -> (SimTransport, SimLinkCtl, Arc<MemDevice>) {
     let (a, b, ctl) = net.add_link(name, delay);
     let device = Arc::new(MemDevice::new(BlockSize::kb4(), stripes));
-    let dev = Arc::clone(&device);
-    let tr = b.clone();
-    let mut applier = ReplicaApplier::new(dev)
-        .with_codec(Box::new(ReedSolomon::k4m2()))
-        .require_sealed(true);
-    net.set_actor(
-        &b,
-        Box::new(move || {
-            while let Ok(Some(frame)) = tr.try_recv() {
-                let ack = match applier.handle(&frame) {
-                    Ok(Applied::Data(_)) => encode_ack(ACK, applier.last_epoch()),
-                    Ok(Applied::Digest(d)) => encode_digest_ack(applier.last_epoch(), d),
-                    Ok(Applied::Strip(s)) => prins_repl::encode_strip_ack(applier.last_epoch(), &s),
-                    Ok(Applied::Read(s)) => prins_repl::encode_read_ack(applier.last_epoch(), &s),
-                    Err(ReplError::ChecksumMismatch { .. }) => {
-                        encode_ack(NAK_CORRUPT, applier.last_epoch())
-                    }
-                    Err(_) => encode_ack(NAK, applier.last_epoch()),
-                };
-                let _ = tr.send(&ack);
-            }
-        }),
-    );
+    let applier =
+        ReplicaApplier::new(Arc::clone(&device)).with_codec(Box::new(ReedSolomon::k4m2()));
+    serve(net, b, applier);
     (a, ctl, device)
 }
 

@@ -15,10 +15,10 @@ use std::net::TcpListener;
 use std::sync::Arc;
 
 use prins_block::{BlockDevice, BlockSize, MemDevice};
-use prins_core::{EngineBuilder, ReplicaEngine};
+use prins_core::EngineBuilder;
 use prins_iscsi::{Initiator, Target};
 use prins_net::{LinkModel, TcpTransport, Transport};
-use prins_repl::{verify_consistent, ReplicationMode};
+use prins_repl::{run_replica, verify_consistent, ReplicationMode};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Replica node: listens for the PRINS parity stream. ---
@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let replica_volume2 = Arc::clone(&replica_volume);
     let replica_thread = std::thread::spawn(move || {
         let conn = TcpTransport::accept(&repl_listener, LinkModel::t1()).expect("accept");
-        ReplicaEngine::new(replica_volume2 as Arc<dyn BlockDevice>, conn).run()
+        run_replica(&*replica_volume2, &conn)
     });
 
     // --- Primary storage node: iSCSI target over a PRINS engine. ---

@@ -5,13 +5,13 @@
 use std::sync::Arc;
 
 use prins_block::{BlockDevice, BlockSize, Lba, MemDevice};
-use prins_core::{EngineBuilder, ReplicaEngine};
+use prins_core::EngineBuilder;
 use prins_fs::Fs;
 use prins_iscsi::{Initiator, Target};
 use prins_net::{channel_pair, LinkModel, Transport};
 use prins_pagestore::{BufferPool, DbProfile};
 use prins_raid::{RaidArray, RaidLevel};
-use prins_repl::{verify_consistent, ReplicationMode};
+use prins_repl::{run_replica, verify_consistent, ReplicationMode};
 use prins_workloads::{TpccDatabase, TpccDriver, TpccScale};
 use rand::SeedableRng;
 
@@ -31,10 +31,8 @@ fn replicated_engine(
     let (uplink, downlink) = channel_pair(LinkModel::t1());
     let meter = Arc::clone(uplink.meter());
     let replica_volume = Arc::new(MemDevice::new(BlockSize::kb8(), blocks));
-    let replica = ReplicaEngine::spawn(
-        Arc::clone(&replica_volume) as Arc<dyn BlockDevice>,
-        downlink,
-    );
+    let volume = Arc::clone(&replica_volume);
+    let replica = std::thread::spawn(move || run_replica(&*volume, &downlink));
     let primary_volume = Arc::new(MemDevice::new(BlockSize::kb8(), blocks));
     let engine = Arc::new(
         EngineBuilder::new(Arc::clone(&primary_volume) as Arc<dyn BlockDevice>)
@@ -155,10 +153,8 @@ fn raid5_backed_engine_survives_member_failure_and_stays_consistent() {
         BlockSize::kb8(),
         raid.geometry().num_blocks(),
     ));
-    let replica = ReplicaEngine::spawn(
-        Arc::clone(&replica_volume) as Arc<dyn BlockDevice>,
-        downlink,
-    );
+    let volume = Arc::clone(&replica_volume);
+    let replica = std::thread::spawn(move || run_replica(&*volume, &downlink));
     let engine = EngineBuilder::new(Arc::clone(&raid) as Arc<dyn BlockDevice>)
         .mode(ReplicationMode::Prins)
         .replica(Box::new(uplink))

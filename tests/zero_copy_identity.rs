@@ -1,13 +1,14 @@
 //! Byte-identity of the pooled zero-copy hot path.
 //!
-//! The arena-buffer rework changed *how* frames are built (pooled
-//! buffers, fused delta encoding, batch-aware sealing) but must not
-//! change a single wire byte. These tests capture every frame a
-//! stepped engine puts on the wire and compare them against frames
-//! assembled the classic way — `Replicator::encode_write` into a fresh
-//! `Vec`, sealed with `seal_frame` — then replay the captured frames
-//! through a [`ReplicaApplier`] and check the replica converges to the
-//! primary's exact contents.
+//! The engine builds frames in pooled buffers with fused delta encoding
+//! and batch-aware sealing, none of which may change a single wire
+//! byte. These tests capture every frame a stepped engine puts on the
+//! wire and compare them against the reference encodings — the dense
+//! parity through `SparseCodec::encode(..).to_bytes()`, wrapped by
+//! `Payload::to_bytes`, packed by `BatchFrame::to_bytes` and sealed with
+//! `seal_frame` — then replay the captured frames through a
+//! [`ReplicaApplier`] and check the replica converges to the primary's
+//! exact contents.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -15,8 +16,10 @@ use std::time::Duration;
 use prins_block::{BlockDevice, BlockSize, Lba, MemDevice};
 use prins_core::EngineBuilder;
 use prins_net::{LinkModel, NetError, TrafficMeter, Transport};
-use prins_parity::encode_varint;
-use prins_repl::{encode_ack, seal_frame, ReplicaApplier, ReplicationMode, ACK, BATCH_TAG};
+use prins_parity::{forward_parity, SparseCodec};
+use prins_repl::{
+    encode_ack, seal_frame, BatchFrame, Payload, PayloadBody, ReplicaApplier, ReplicationMode, ACK,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -60,9 +63,24 @@ impl Transport for RecordingTransport {
     }
 }
 
+/// The reference payload of one write: the sparse encoding of the dense
+/// parity, or the full block where PRINS falls back to it (the parity
+/// would not be smaller) and always for traditional replication.
+fn reference_payload(mode: ReplicationMode, lba: Lba, old: &[u8], new: &[u8]) -> Vec<u8> {
+    let sparse = SparseCodec::default()
+        .encode(&forward_parity(old, new))
+        .to_bytes();
+    let body = match mode {
+        ReplicationMode::Prins if sparse.len() < new.len() => PayloadBody::Parity(sparse),
+        ReplicationMode::Prins | ReplicationMode::Traditional => PayloadBody::Full(new.to_vec()),
+        other => panic!("no reference payload for {other}"),
+    };
+    Payload { lba, body }.to_bytes()
+}
+
 /// Runs `writes` seeded writes through a stepped engine, returning the
-/// captured wire frames, the classic per-write payloads (in admission
-/// order) and the primary's final image.
+/// captured wire frames, the reference per-write payloads (in
+/// admission order) and the primary's final image.
 fn run_engine(
     mode: ReplicationMode,
     batch: usize,
@@ -79,9 +97,8 @@ fn run_engine(
         .manual_stepping(true)
         .build();
 
-    // Shadow the classic path: encode each write against the same old
-    // image the engine captured.
-    let replicator = mode.replicator();
+    // Shadow the engine: encode each write against the same old image
+    // the engine captured.
     let mut shadow = vec![vec![0u8; 4096]; BLOCKS as usize];
     let mut payloads = Vec::new();
 
@@ -96,7 +113,12 @@ fn run_engine(
             let at = rng.random_range(0..4096);
             block[at] ^= 0x5a;
         }
-        payloads.push(replicator.encode_write(lba, &shadow[lba.index() as usize], &block));
+        payloads.push(reference_payload(
+            mode,
+            lba,
+            &shadow[lba.index() as usize],
+            &block,
+        ));
         shadow[lba.index() as usize] = block.clone();
         engine.write_block(lba, &block).unwrap();
         if step_each {
@@ -144,12 +166,10 @@ fn batch_sealed_frames_match_classic_batch_assembly() {
     let (frames, payloads, primary) = run_engine(ReplicationMode::Prins, BATCH, 48, false);
     assert_eq!(frames.len(), payloads.len() / BATCH);
     for (i, (frame, group)) in frames.iter().zip(payloads.chunks(BATCH)).enumerate() {
-        let mut inner = vec![BATCH_TAG];
-        encode_varint(&mut inner, group.len() as u64);
-        for payload in group {
-            encode_varint(&mut inner, payload.len() as u64);
-            inner.extend_from_slice(payload);
+        let inner = BatchFrame {
+            payloads: group.to_vec(),
         }
+        .to_bytes();
         let expected = seal_frame(LANE_EPOCH, &inner);
         assert_eq!(frame, &expected, "batched frame {i} diverged");
     }
