@@ -29,6 +29,17 @@ cargo clippy -p prins-obs -- -D warnings
 # And for the policy engine: its classifier sits on the zero-copy
 # write path (region table, probe, decision logic), so it gates alone.
 cargo clippy -p prins-policy -- -D warnings
+# One-owner gate: prins_repl::ReplicaLink is the primary's only end of
+# a replica connection — it alone seals frames, receives answers and
+# matches them to frames by epoch. Production code of the engine and
+# the cluster (everything before a file's `#[cfg(test)]` module) must
+# go through it.
+if find crates/core/src crates/cluster/src -name '*.rs' \
+    -exec awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' {} \; \
+    | grep -E 'classify_response\(|seal_frame_into\(|seal_batch_frame_into\(|seal_begin\(|\.recv_timeout\('; then
+    echo "ci.sh: the lines above bypass prins_repl::ReplicaLink" >&2
+    exit 1
+fi
 cargo build --release
 cargo bench --workspace --no-run     # criterion benches must keep compiling
 # Cap test parallelism: the pipeline/cluster suites spawn their own

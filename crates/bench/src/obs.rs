@@ -17,7 +17,7 @@ use prins_block::{BlockDevice, BlockSize, MemDevice};
 use prins_core::EngineBuilder;
 use prins_net::{SimNet, Transport};
 use prins_obs::{register_meter, Registry, Snapshot};
-use prins_repl::{verify_consistent, AckPolicy, ReplicaApplier, ACK, NAK};
+use prins_repl::{serve_simulated, verify_consistent, AckPolicy, ReplicaApplier};
 use prins_workloads::{capture_trace, Workload};
 
 use crate::pipeline::trace_writes;
@@ -73,18 +73,7 @@ pub fn obs_experiment(ops: usize) -> Result<Snapshot, Box<dyn std::error::Error>
         for (lba, image) in &stream.initial {
             device.write_block(*lba, image)?;
         }
-        let dev = Arc::clone(&device);
-        let tr = b.clone();
-        net.set_actor(
-            &b,
-            Box::new(move || {
-                let mut applier = ReplicaApplier::new(&*dev);
-                while let Ok(Some(frame)) = tr.try_recv() {
-                    let ok = applier.apply(&frame).is_ok();
-                    let _ = tr.send(&[if ok { ACK } else { NAK }]);
-                }
-            }),
-        );
+        serve_simulated(&net, b, ReplicaApplier::new(Arc::clone(&device)));
         register_meter(&registry, &format!("link{idx}"), Arc::clone(a.meter()));
         builder = builder.replica(Box::new(a));
         replica_devs.push(device);

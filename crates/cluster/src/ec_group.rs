@@ -37,12 +37,11 @@ use std::time::Duration;
 
 use prins_block::{BlockDevice, Lba};
 use prins_net::{Clock, Transport};
-use prins_obs::{Counter, Event, EventKind, Histogram, Registry, TraceId, TraceSink, TraceStage};
+use prins_obs::{Counter, Event, EventKind, Histogram, Registry, TraceSink, TraceStage};
 use prins_parity::{ErasureCodec, SparseCodec};
-use prins_repl::{
-    classify_response, encode_strip_request, seal_begin, Payload, ReplError, Response,
-};
+use prins_repl::{encode_strip_request, Payload, ReplError, ReplicaLink, Response};
 
+use crate::tracer::Tracer;
 use crate::ClusterError;
 
 /// Maps `(stripe, role)` to a node: rotated placement, so every node
@@ -115,34 +114,12 @@ impl EcObs {
     }
 }
 
-/// Causal-tracing hookup for an [`EcGroup`]: one trace per logical
-/// write, spanning the data/parity strip fan-out and the per-node
-/// acknowledgements.
-struct EcTracer {
-    sink: Arc<TraceSink>,
-    clock: Arc<dyn Clock>,
-    shard: u32,
-    counter: u64,
-}
-
-impl EcTracer {
-    fn next_id(&mut self) -> TraceId {
-        let id = TraceId::for_shard(self.shard, self.counter);
-        self.counter += 1;
-        id
-    }
-}
-
 /// One strip-holding node of the group.
 struct EcNode {
-    transport: Box<dyn Transport>,
-    /// Response-stream generation, as in
-    /// [`ClusterGroup`](crate::ClusterGroup): bumped on rejoin and on a
-    /// receive failure so stranded responses identify themselves.
-    epoch: u64,
+    /// The connection; every frame is answered within the call that
+    /// sent it.
+    link: ReplicaLink<()>,
     down: bool,
-    strip_writes: u64,
-    sent_bytes: u64,
 }
 
 /// Outcome of one erasure-coded write.
@@ -211,7 +188,7 @@ pub struct EcGroup<D, C> {
     dirty_stripes: BTreeSet<u64>,
     rebuild_bytes: u64,
     obs: Option<EcObs>,
-    tracer: Option<EcTracer>,
+    tracer: Tracer,
     /// Reused buffer the outgoing frames are sealed into.
     frame: Vec<u8>,
 }
@@ -244,12 +221,10 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
             config,
             nodes: transports
                 .into_iter()
-                .map(|transport| EcNode {
-                    transport,
-                    epoch: 1,
+                .enumerate()
+                .map(|(idx, transport)| EcNode {
+                    link: ReplicaLink::new(idx, transport),
                     down: false,
-                    strip_writes: 0,
-                    sent_bytes: 0,
                 })
                 .collect(),
             stripes: blocks / k as u64,
@@ -257,7 +232,7 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
             dirty_stripes: BTreeSet::new(),
             rebuild_bytes: 0,
             obs: None,
-            tracer: None,
+            tracer: Tracer::default(),
             frame: Vec::new(),
         }
     }
@@ -275,17 +250,12 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
     /// node index) plus a `strip-ack` hop per acknowledgement, so the
     /// flight recorder sees the full k-of-n fan-out of a slow write.
     pub fn attach_tracer(&mut self, sink: Arc<TraceSink>, shard: u32, clock: Arc<dyn Clock>) {
-        self.tracer = Some(EcTracer {
-            sink,
-            clock,
-            shard,
-            counter: 0,
-        });
+        self.tracer = Tracer::attach(sink, shard, clock);
     }
 
     /// The attached trace sink, if any.
     pub fn trace_sink(&self) -> Option<&Arc<TraceSink>> {
-        self.tracer.as_ref().map(|t| &t.sink)
+        self.tracer.sink()
     }
 
     /// The placement map.
@@ -318,15 +288,6 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
     /// Total wire bytes rebuilds have moved.
     pub fn rebuild_bytes(&self) -> u64 {
         self.rebuild_bytes
-    }
-
-    /// Wire bytes node `idx` has been sent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn node_bytes(&self, idx: usize) -> u64 {
-        self.nodes[idx].sent_bytes
     }
 
     /// Marks node `idx` down: writes stop flowing to its strips (the
@@ -365,8 +326,7 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
     ) -> Result<(), ClusterError> {
         self.check_idx(idx)?;
         let node = &mut self.nodes[idx];
-        node.transport = transport;
-        node.epoch += 1;
+        node.link.reconnect(transport);
         node.down = true;
         Ok(())
     }
@@ -385,8 +345,11 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
     /// * [`ClusterError::Block`] if the primary write fails (nothing
     ///   was shipped),
     /// * [`ClusterError::Repl`] on a transport or acknowledgement
-    ///   failure — the group does not self-degrade; tests and the
-    ///   simulator decide when a node is [`mark_down`](Self::mark_down).
+    ///   failure — the first one, returned once every node that was
+    ///   sent a frame has answered or failed, so no answer is left
+    ///   behind to be taken for the next request. The group does not
+    ///   self-degrade; tests and the simulator decide when a node is
+    ///   [`mark_down`](Self::mark_down).
     pub fn write(&mut self, lba: Lba, new: &[u8]) -> Result<EcWriteOutcome, ClusterError> {
         let k = self.placement.k;
         let stripe = lba.index() / k as u64;
@@ -398,11 +361,7 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
         // One trace per logical write; the hold (pending = 1) keeps it
         // open across the strip fan-out and is released after the last
         // acknowledgement is collected below.
-        let tid = self.tracer.as_mut().map(|t| {
-            let id = t.next_id();
-            t.sink.begin(id, t.shard, 1, t.clock.now_nanos(), new.len());
-            id
-        });
+        let tid = self.tracer.begin(new.len());
         let mut outcome = EcWriteOutcome {
             acked: 0,
             skipped: 0,
@@ -412,6 +371,7 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
         // pipelined; acks are collected after (FIFO per node — every
         // target is a distinct node under rotated placement).
         let mut await_from: Vec<usize> = Vec::with_capacity(1 + self.placement.m);
+        let mut failed: Option<ClusterError> = None;
         for role in std::iter::once(col).chain(k..self.placement.n()) {
             let node = self.placement.node_for(stripe, role);
             if self.nodes[node].down {
@@ -424,49 +384,51 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
             } else {
                 self.codec.coefficient(role - k, col)
             };
-            let sealed = self.send_sealed(node, |out| {
+            let write = |out: &mut Vec<u8>| {
                 Payload::write_strip_delta_header(out, Lba(stripe), coeff);
                 delta.write_into(out);
-            })?;
-            self.nodes[node].strip_writes += 1;
+            };
+            let sealed = match self.nodes[node].link.send_with(&mut self.frame, write, ()) {
+                Ok(sealed) => sealed,
+                Err(e) => {
+                    failed = Some(e.into());
+                    break;
+                }
+            };
             outcome.wire_bytes += sealed as u64;
             if role >= k {
                 if let Some(obs) = &self.obs {
                     obs.parity_update_bytes.add(sealed as u64);
                 }
             }
-            if let (Some(t), Some(id)) = (&self.tracer, tid) {
-                let stage = if role < k {
-                    TraceStage::StripData
-                } else {
-                    TraceStage::StripParity
-                };
-                t.sink.add_pending(id, 1);
-                t.sink
-                    .event(id, stage, node as u32, t.clock.now_nanos(), sealed);
-            }
+            let stage = if role < k {
+                TraceStage::StripData
+            } else {
+                TraceStage::StripParity
+            };
+            self.tracer.fan_out(tid, stage, node as u32, sealed);
             await_from.push(node);
         }
         if let Some(obs) = &self.obs {
             obs.strip_writes.add(await_from.len() as u64);
         }
         for node in await_from {
-            self.await_ack(node)?;
-            if let (Some(t), Some(id)) = (&self.tracer, tid) {
-                t.sink.complete(
-                    id,
-                    TraceStage::StripAck,
-                    node as u32,
-                    t.clock.now_nanos(),
-                    0,
-                );
+            let acked = self.await_ack(node);
+            let stage = if acked.is_ok() {
+                TraceStage::StripAck
+            } else {
+                TraceStage::AckError
+            };
+            self.tracer.complete(tid, stage, node as u32, 0);
+            match acked {
+                Ok(()) => outcome.acked += 1,
+                Err(e) => {
+                    failed.get_or_insert(e);
+                }
             }
-            outcome.acked += 1;
         }
-        if let (Some(t), Some(id)) = (&self.tracer, tid) {
-            t.sink.release(id, t.clock.now_nanos());
-        }
-        Ok(outcome)
+        self.tracer.release(tid);
+        failed.map_or(Ok(outcome), Err)
     }
 
     /// Fetches the strip image node `node` holds for `stripe` — a
@@ -484,15 +446,17 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
         stripe: u64,
     ) -> Result<(Vec<u8>, u64), ClusterError> {
         self.check_idx(node)?;
-        let request = encode_strip_request(Lba(stripe));
-        let sent = self.send_sealed(node, |out| out.extend_from_slice(&request))?;
         let (sparse, bs) = (self.sparse, self.block_size);
-        let (strip, received) = self.await_response(node, |answer| match answer {
-            Response::Strip(image) => Some(sparse.decode(image, bs)),
-            _ => None,
-        })?;
-        let strip = strip.map_err(ReplError::from)?.to_dense(bs);
-        Ok((strip, (sent + received) as u64))
+        let link = &mut self.nodes[node].link;
+        let sent = link.send(&encode_strip_request(Lba(stripe)), &mut self.frame, ())?;
+        let answer = link
+            .collect(self.config.ack_timeout, |answer| match answer {
+                Response::Strip(image) => Some(sparse.decode(image, bs)),
+                _ => None,
+            })
+            .expect("the strip request is in flight");
+        let strip = answer.result?.map_err(ReplError::from)?.to_dense(bs);
+        Ok((strip, (sent + answer.received) as u64))
     }
 
     /// Rebuilds every strip node `lost` holds from `k` surviving
@@ -522,7 +486,7 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
             survivor_image_bytes: 0,
         };
         self.nodes[lost].down = false;
-        self.nodes[lost].epoch += 1;
+        self.nodes[lost].link.abandon();
         for stripe in 0..self.stripes {
             let lost_role = self.placement.role_of(stripe, lost);
             let mut strips: Vec<Option<Vec<u8>>> = vec![None; n];
@@ -564,10 +528,13 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
             // Coefficient-1 delta over the replacement's zeroed disk:
             // the rebuilt image itself, minus its zero runs.
             let image = self.sparse.encode(&rebuilt);
-            let sealed = self.send_sealed(lost, |out| {
+            let write = |out: &mut Vec<u8>| {
                 Payload::write_strip_delta_header(out, Lba(stripe), 1);
                 image.write_into(out);
-            })?;
+            };
+            let sealed = self.nodes[lost]
+                .link
+                .send_with(&mut self.frame, write, ())?;
             report.wire_bytes += sealed as u64;
             self.await_ack(lost)?;
             report.stripes += 1;
@@ -637,69 +604,13 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
         }
     }
 
-    /// Seals the payload `write` appends under `node`'s epoch into the
-    /// reused frame buffer and sends it. Returns the sealed length.
-    fn send_sealed(
-        &mut self,
-        node: usize,
-        write: impl FnOnce(&mut Vec<u8>),
-    ) -> Result<usize, ClusterError> {
-        self.frame.clear();
-        let seal = seal_begin(self.nodes[node].epoch, &mut self.frame);
-        write(&mut self.frame);
-        seal.finish(&mut self.frame);
-        let n = &mut self.nodes[node];
-        n.transport.send(&self.frame).map_err(ReplError::from)?;
-        n.sent_bytes += self.frame.len() as u64;
-        Ok(self.frame.len())
-    }
-
-    /// Waits for one acknowledgement from `node`.
+    /// Collects `node`'s acknowledgement of its one in-flight frame.
     fn await_ack(&mut self, node: usize) -> Result<(), ClusterError> {
-        self.await_response(node, |answer| (answer == Response::Ack).then_some(()))
-            .map(|_| ())
-    }
-
-    /// Waits for `node`'s answer to the frame last sealed under its
-    /// epoch and hands it to `take`, which picks out the expected kind
-    /// of answer; any other kind is misaligned traffic
-    /// ([`ReplError::MissingAck`]). Answers from older epochs are
-    /// dropped. Returns the picked value and the answer's wire length.
-    ///
-    /// A receive failure leaves the answer unconsumed — it may still
-    /// arrive — so it opens a new epoch: the late answer then
-    /// identifies itself as stale instead of answering the next
-    /// request.
-    fn await_response<T>(
-        &mut self,
-        node: usize,
-        take: impl FnOnce(Response<'_>) -> Option<T>,
-    ) -> Result<(T, usize), ClusterError> {
-        let epoch = self.nodes[node].epoch;
-        loop {
-            let frame = match self.nodes[node]
-                .transport
-                .recv_timeout(self.config.ack_timeout)
-            {
-                Ok(frame) => frame,
-                Err(e) => {
-                    self.nodes[node].epoch += 1;
-                    return Err(ReplError::from(e).into());
-                }
-            };
-            match classify_response(&frame, node, epoch)? {
-                Response::Stale => {}
-                answer => {
-                    return take(answer).map(|t| (t, frame.len())).ok_or_else(|| {
-                        ReplError::MissingAck {
-                            replica: node,
-                            got: frame.first().copied(),
-                        }
-                        .into()
-                    })
-                }
-            }
-        }
+        let answer = self.nodes[node]
+            .link
+            .collect_ack(self.config.ack_timeout)
+            .expect("a strip frame is in flight");
+        Ok(answer.result?)
     }
 }
 
@@ -729,6 +640,8 @@ mod tests {
         group: EcGroup<MemDevice, ReedSolomon>,
         devices: Vec<Arc<MemDevice>>,
         workers: Vec<NodeWorker>,
+        /// Makes node 0's next answer late (see [`LateOnce`]).
+        node0_late: Arc<std::sync::atomic::AtomicBool>,
     }
 
     /// Spawns one strip-holder thread per node, each running the
@@ -752,9 +665,14 @@ mod tests {
         let mut transports = Vec::new();
         let mut devices = Vec::new();
         let mut workers = Vec::new();
+        let node0_late = Arc::new(std::sync::atomic::AtomicBool::new(false));
         for _ in 0..codec.total_strips() {
-            let (t, d, w) = spawn_node(stripes);
-            transports.push(t);
+            let (inner, d, w) = spawn_node(stripes);
+            let fail_next = Arc::clone(&node0_late);
+            transports.push(match transports.len() {
+                0 => Box::new(LateOnce { inner, fail_next }),
+                _ => inner,
+            });
             devices.push(d);
             workers.push(w);
         }
@@ -764,6 +682,7 @@ mod tests {
             group,
             devices,
             workers,
+            node0_late,
         }
     }
 
@@ -950,17 +869,10 @@ mod tests {
             .collect();
         assert_ne!(want[0], want[1], "node 0's two strips must differ");
 
-        let fail_next = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let (placeholder, _) = channel_pair(LinkModel::t1());
-        let inner = std::mem::replace(&mut h.group.nodes[0].transport, Box::new(placeholder));
-        h.group.nodes[0].transport = Box::new(LateOnce {
-            inner,
-            fail_next: Arc::clone(&fail_next),
-        });
-
         // Stripe 0's answer is late: the fetch fails, the answer stays
         // queued on the link.
-        fail_next.store(true, std::sync::atomic::Ordering::SeqCst);
+        h.node0_late
+            .store(true, std::sync::atomic::Ordering::SeqCst);
         assert!(h.group.fetch_strip(0, 0).is_err());
         // The next request must never be answered with stripe 0's strip.
         if let Ok((strip, _)) = h.group.fetch_strip(0, 1) {
@@ -970,6 +882,33 @@ mod tests {
             );
             assert_eq!(strip, want[1]);
         }
+        finish(h);
+    }
+
+    #[test]
+    fn a_failed_write_leaves_no_answer_behind_on_the_other_nodes() {
+        let mut h = harness(2);
+        random_writes(&mut h, 15, 40);
+        // LBA 0: the data strip is on node 0, the parity strips on
+        // nodes 4 and 5. Node 0's ack is late, so the write fails.
+        let mut block = h.group.device().read_block_vec(Lba(0)).unwrap();
+        block[0..64].fill(0x77);
+        h.node0_late
+            .store(true, std::sync::atomic::Ordering::SeqCst);
+        assert!(h.group.write(Lba(0), &block).is_err());
+        // Every parity node answered its delta within the write, so
+        // their next requests get their own answers: the strip each
+        // holds for stripe 0, then for stripe 1.
+        for node in [4, 5] {
+            for stripe in 0..2 {
+                let want = h.devices[node].read_block_vec(Lba(stripe)).unwrap();
+                let (strip, _) = h.group.fetch_strip(node, stripe).unwrap();
+                assert_eq!(strip, want, "node {node} stripe {stripe}");
+            }
+        }
+        // Node 0's late ACK reads as stale: its next answer is its own.
+        let want = h.devices[0].read_block_vec(Lba(0)).unwrap();
+        assert_eq!(h.group.fetch_strip(0, 0).unwrap().0, want);
         finish(h);
     }
 

@@ -12,11 +12,12 @@ use prins_obs::{
 };
 use prins_parity::{SparseCodec, SparseParity};
 use prins_repl::{
-    classify_response, encode_digest_request, encode_read_request, seal_frame_into, Payload,
-    ReplError, ReplicationMode, Replicator, Response, NAK_CORRUPT,
+    encode_digest_request, encode_read_request, Payload, ReplError, ReplicaLink, ReplicationMode,
+    Replicator, Response,
 };
 use prins_trap::{TrapDevice, TrapLog};
 
+use crate::tracer::Tracer;
 use crate::{ClusterError, DirtyMap, ReplicaState};
 
 /// Observability hookup for a [`ClusterGroup`]: where lifecycle
@@ -80,38 +81,6 @@ impl ClusterObs {
     }
 }
 
-/// Causal-tracing hookup for a [`ClusterGroup`]: mints a deterministic
-/// [`TraceId`] per foreground write (and per offloaded read) and
-/// appends the replica fan-out hops into a shared [`TraceSink`], so a
-/// write's trace spans dispatch → per-replica send → ack (or the
-/// wrong-epoch / error hop that ended it).
-struct ClusterTracer {
-    sink: Arc<TraceSink>,
-    clock: Arc<dyn Clock>,
-    /// Shard tag minted into every trace id — ties the group's SLO
-    /// accounting to its slot in [`prins_obs::TraceConfig::shards`].
-    shard: u32,
-    /// Monotonic per-group counter: ids are deterministic functions of
-    /// dispatch order, never of randomness or wall time.
-    counter: u64,
-    /// The trace whose response is currently being awaited, so the
-    /// stale-epoch drop sites deep in the ack loop can attribute the
-    /// wrong-epoch hop to the right trace.
-    awaiting: Option<TraceId>,
-}
-
-impl ClusterTracer {
-    fn next_id(&mut self) -> TraceId {
-        let id = TraceId::for_shard(self.shard, self.counter);
-        self.counter += 1;
-        id
-    }
-
-    fn now(&self) -> u64 {
-        self.clock.now_nanos()
-    }
-}
-
 /// How a rejoining replica is caught up.
 ///
 /// The three strategies are the x-axis of the resync-traffic figure:
@@ -161,9 +130,29 @@ struct ResyncPlan {
     pending_full: HashSet<u64>,
 }
 
+/// What a frame in flight to a replica was sent for — the tag its
+/// answer retires.
+enum InFlight {
+    /// A foreground write, and the trace its acknowledgement retires.
+    Write {
+        lba: Lba,
+        seq: u64,
+        trace: Option<TraceId>,
+    },
+    /// A resync frame.
+    Resync(ResyncFrame),
+    /// A read or digest request (with the read's trace), answered
+    /// before anything else is sent.
+    Request(Option<TraceId>),
+}
+
 /// Per-replica bookkeeping on the primary.
 struct Replica {
-    transport: Box<dyn Transport>,
+    /// The connection: its epoch and in-flight frames. Foreground
+    /// writes stay in flight across calls up to the ack window; every
+    /// other frame is answered (or abandoned) within the call that
+    /// sent it, after the writes ahead of it are drained.
+    link: ReplicaLink<InFlight>,
     state: ReplicaState,
     dirty: DirtyMap,
     consecutive_failures: u32,
@@ -174,25 +163,12 @@ struct Replica {
     read_bytes: u64,
     deferred_writes: u64,
     acked_writes: u64,
-    /// Foreground writes sent but not yet acknowledged (FIFO — the
-    /// transport delivers and the replica acknowledges in order), each
-    /// remembering the epoch its frame was sealed with and the trace
-    /// the eventual acknowledgement retires.
-    outstanding: VecDeque<(Lba, u64, u64, Option<TraceId>)>,
-    /// The replica's response-stream generation. Every frame is sealed
-    /// with the current epoch and the replica echoes it in each ack, so
-    /// a response stranded by a lost link (its write already booked as
-    /// failed) identifies itself when it finally surfaces: its epoch is
-    /// older than the frame it would be matched against, and it is
-    /// dropped instead of miscounted. Bumped whenever a response may
-    /// have been stranded (a recv failure) and on every rejoin.
-    epoch: u64,
 }
 
 impl Replica {
-    fn new(transport: Box<dyn Transport>) -> Self {
+    fn new(idx: usize, transport: Box<dyn Transport>) -> Self {
         Self {
-            transport,
+            link: ReplicaLink::new(idx, transport),
             state: ReplicaState::Online,
             dirty: DirtyMap::new(),
             consecutive_failures: 0,
@@ -203,8 +179,6 @@ impl Replica {
             read_bytes: 0,
             deferred_writes: 0,
             acked_writes: 0,
-            outstanding: VecDeque::new(),
-            epoch: 1,
         }
     }
 }
@@ -323,7 +297,7 @@ pub struct ClusterGroup<D> {
     replicas: Vec<Replica>,
     config: ClusterConfig,
     obs: Option<ClusterObs>,
-    tracer: Option<ClusterTracer>,
+    tracer: Tracer,
     /// Round-robin cursor for offloaded reads.
     next_read: usize,
     /// Reused buffers: a block image read off the primary (the old
@@ -344,10 +318,14 @@ impl<D: BlockDevice> ClusterGroup<D> {
         Self {
             device: TrapDevice::new(device),
             replicator: config.mode.replicator(),
-            replicas: transports.into_iter().map(Replica::new).collect(),
+            replicas: transports
+                .into_iter()
+                .enumerate()
+                .map(|(idx, transport)| Replica::new(idx, transport))
+                .collect(),
             config,
             obs: None,
-            tracer: None,
+            tracer: Tracer::default(),
             next_read: 0,
             image: Vec::new(),
             payload: Vec::new(),
@@ -382,18 +360,12 @@ impl<D: BlockDevice> ClusterGroup<D> {
     /// pass the transports' [`SimClock`](prins_net::SimClock) for
     /// deterministic traces under simulation.
     pub fn attach_tracer(&mut self, sink: Arc<TraceSink>, shard: u32, clock: Arc<dyn Clock>) {
-        self.tracer = Some(ClusterTracer {
-            sink,
-            clock,
-            shard,
-            counter: 0,
-            awaiting: None,
-        });
+        self.tracer = Tracer::attach(sink, shard, clock);
     }
 
     /// The attached trace sink, if any.
     pub fn trace_sink(&self) -> Option<&Arc<TraceSink>> {
-        self.tracer.as_ref().map(|t| &t.sink)
+        self.tracer.sink()
     }
 
     /// The primary device (wrapped with the parity log).
@@ -438,7 +410,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
             read_bytes: r.read_bytes,
             deferred_writes: r.deferred_writes,
             acked_writes: r.acked_writes,
-            in_flight: r.outstanding.len(),
+            in_flight: r.link.in_flight(),
         }
     }
 
@@ -464,11 +436,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
         // open across the replica fan-out and is released at the end of
         // this call, so with a pipelined window the trace finalizes on
         // whichever later collection retires the last acknowledgement.
-        let tid = self.tracer.as_mut().map(|t| {
-            let id = t.next_id();
-            t.sink.begin(id, t.shard, 1, t.now(), new.len());
-            id
-        });
+        let tid = self.tracer.begin(new.len());
 
         let mut outcome = WriteOutcome {
             seq,
@@ -479,30 +447,22 @@ impl<D: BlockDevice> ClusterGroup<D> {
         for idx in 0..self.replicas.len() {
             match self.route_write(idx, lba, seq) {
                 Route::Send => {
-                    let epoch = self.replicas[idx].epoch;
-                    match self.send_payload(idx) {
+                    let sent = InFlight::Write {
+                        lba,
+                        seq,
+                        trace: tid,
+                    };
+                    let r = &mut self.replicas[idx];
+                    match r.link.send(&self.payload, &mut self.frame, sent) {
                         Ok(sealed) => {
-                            if let (Some(t), Some(id)) = (&self.tracer, tid) {
-                                t.sink.add_pending(id, 1);
-                                t.sink.event(
-                                    id,
-                                    TraceStage::ReplicaSend,
-                                    idx as u32,
-                                    t.now(),
-                                    sealed,
-                                );
-                            }
-                            let r = &mut self.replicas[idx];
                             r.foreground_bytes += sealed as u64;
-                            r.outstanding.push_back((lba, seq, epoch, tid));
+                            let stage = TraceStage::ReplicaSend;
+                            self.tracer.fan_out(tid, stage, idx as u32, sealed);
                         }
                         // The frame never left: the replica certainly
                         // did not apply it.
                         Err(_) => {
-                            if let (Some(t), Some(id)) = (&self.tracer, tid) {
-                                t.sink
-                                    .event(id, TraceStage::SendError, idx as u32, t.now(), 0);
-                            }
+                            self.tracer.event(tid, TraceStage::SendError, idx as u32, 0);
                             self.note_failure(idx, Some((lba, seq)), false);
                         }
                     }
@@ -523,7 +483,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
         // oldest-first, matching the transport's FIFO delivery.
         let window = self.config.ack_window.max(1);
         for idx in 0..self.replicas.len() {
-            while self.replicas[idx].outstanding.len() >= window {
+            while self.replicas[idx].link.in_flight() >= window {
                 if let Some((_, retired)) = self.collect_oldest(idx) {
                     if retired == seq {
                         outcome.acked += 1;
@@ -538,14 +498,16 @@ impl<D: BlockDevice> ClusterGroup<D> {
         let in_flight = self
             .replicas
             .iter()
-            .filter(|r| r.outstanding.iter().any(|&(_, s, _, _)| s == seq))
+            .filter(|r| {
+                r.link
+                    .tags()
+                    .any(|t| matches!(t, InFlight::Write { seq: s, .. } if *s == seq))
+            })
             .count();
         // Drop the dispatch hold: with everything acknowledged the
         // trace finalizes here; under a pipelined window it stays open
         // until the last outstanding acknowledgement is collected.
-        if let (Some(t), Some(id)) = (&self.tracer, tid) {
-            t.sink.release(id, t.now());
-        }
+        self.tracer.release(tid);
         if outcome.acked + in_flight < self.config.write_quorum {
             return Err(ClusterError::QuorumLost {
                 acked: outcome.acked,
@@ -581,11 +543,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
         // Offloaded reads get their own trace: one hop per rejected
         // candidate, completed by whichever source served the block
         // (lane = replica index, or `NO_LANE` for the primary image).
-        let tid = self.tracer.as_mut().map(|t| {
-            let id = t.next_id();
-            t.sink.begin(id, t.shard, 1, t.now(), 0);
-            id
-        });
+        let tid = self.tracer.begin(0);
         for attempt in 0..n {
             let idx = (self.next_read + attempt) % n;
             match self.read_offload(idx, lba, tid) {
@@ -594,15 +552,8 @@ impl<D: BlockDevice> ClusterGroup<D> {
                     if let Some(obs) = &self.obs {
                         obs.reads_offloaded.inc();
                     }
-                    if let (Some(t), Some(id)) = (&self.tracer, tid) {
-                        t.sink.complete(
-                            id,
-                            TraceStage::ReadOffload,
-                            idx as u32,
-                            t.now(),
-                            data.len(),
-                        );
-                    }
+                    let stage = TraceStage::ReadOffload;
+                    self.tracer.complete(tid, stage, idx as u32, data.len());
                     return Ok(ReadOutcome {
                         data,
                         source: Some(idx),
@@ -615,18 +566,14 @@ impl<D: BlockDevice> ClusterGroup<D> {
                     if let Some(obs) = &self.obs {
                         obs.read_rejected_stale.inc();
                     }
-                    if let (Some(t), Some(id)) = (&self.tracer, tid) {
-                        t.sink
-                            .event(id, TraceStage::ReadReject, idx as u32, t.now(), 0);
-                    }
+                    self.tracer
+                        .event(tid, TraceStage::ReadReject, idx as u32, 0);
                 }
             }
         }
         let data = self.device.read_block_vec(lba)?;
-        if let (Some(t), Some(id)) = (&self.tracer, tid) {
-            t.sink
-                .complete(id, TraceStage::ReadOffload, NO_LANE, t.now(), data.len());
-        }
+        self.tracer
+            .complete(tid, TraceStage::ReadOffload, NO_LANE, data.len());
         Ok(ReadOutcome {
             data,
             source: None,
@@ -657,53 +604,30 @@ impl<D: BlockDevice> ClusterGroup<D> {
         {
             return Ok(None);
         }
-        let epoch = self.replicas[idx].epoch;
-        self.payload.clear();
-        self.payload.extend_from_slice(&encode_read_request(lba));
-        match self.send_payload(idx) {
-            Ok(sealed) => self.replicas[idx].read_bytes += sealed as u64,
-            Err(e) => {
-                self.note_failure(idx, None, false);
-                return Err(e.into());
-            }
-        }
-        // Point the stale-epoch drop sites in the response loop at this
-        // read's trace (the drain above cleared any previous target).
-        if let Some(t) = &mut self.tracer {
-            t.awaiting = tid;
-        }
-        let read = self.await_read(idx, epoch);
-        if let Some(t) = &mut self.tracer {
-            t.awaiting = None;
-        }
+        let bs = self.device.geometry().block_size().bytes();
+        let request = encode_read_request(lba);
+        let read = self
+            .request(
+                idx,
+                &request,
+                tid,
+                |r| &mut r.read_bytes,
+                |answer| match answer {
+                    Response::Read(sparse) => Some(SparseCodec::default().decode(sparse, bs)),
+                    _ => None,
+                },
+            )
+            .and_then(|image| Ok(image.map_err(ReplError::from)?.to_dense(bs)));
         match read {
             Ok(data) => {
                 self.replicas[idx].consecutive_failures = 0;
                 Ok(Some(data))
             }
             Err(e) => {
-                // The response stream is unreliable from here (the read
-                // ack may surface later): open a new generation, like a
-                // failed write collection.
-                if matches!(e, ClusterError::Repl(ReplError::Net(_))) {
-                    self.replicas[idx].epoch += 1;
-                }
                 self.note_failure(idx, None, false);
                 Err(e)
             }
         }
-    }
-
-    /// Waits for replica `idx`'s answer to a read request sealed under
-    /// `expected_epoch` and expands the block image it carries.
-    fn await_read(&mut self, idx: usize, expected_epoch: u64) -> Result<Vec<u8>, ClusterError> {
-        let bs = self.device.geometry().block_size().bytes();
-        self.await_response(idx, expected_epoch, |answer| match answer {
-            Response::Read(sparse) => Some(SparseCodec::default().decode(sparse, bs)),
-            _ => None,
-        })?
-        .map(|image| image.to_dense(bs))
-        .map_err(|e| ReplError::from(e).into())
     }
 
     /// Opens a new response generation on every replica — the migration
@@ -714,7 +638,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
     /// traffic. Call after [`drain`](Self::drain).
     pub fn bump_epochs(&mut self) {
         for r in &mut self.replicas {
-            r.epoch += 1;
+            r.link.abandon();
         }
     }
 
@@ -749,7 +673,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
     /// Collects all of replica `idx`'s in-flight acknowledgements.
     fn drain_replica(&mut self, idx: usize) -> usize {
         let mut retired = 0;
-        while !self.replicas[idx].outstanding.is_empty() {
+        while self.replicas[idx].link.in_flight() > 0 {
             if self.collect_oldest(idx).is_some() {
                 retired += 1;
             }
@@ -761,22 +685,15 @@ impl<D: BlockDevice> ClusterGroup<D> {
     /// acknowledgement. Returns the retired `(lba, seq)` on success; on
     /// failure the replica degrades and the write is marked dirty.
     fn collect_oldest(&mut self, idx: usize) -> Option<(Lba, u64)> {
-        let (lba, seq, epoch, tid) = self.replicas[idx].outstanding.pop_front()?;
-        if let Some(t) = &mut self.tracer {
-            t.awaiting = tid;
-        }
-        let collected = self.await_ack(idx, epoch);
-        if let Some(t) = &mut self.tracer {
-            t.awaiting = None;
-            if let Some(id) = tid {
-                let stage = if collected.is_ok() {
-                    TraceStage::ReplicaAck
-                } else {
-                    TraceStage::AckError
-                };
-                t.sink.complete(id, stage, idx as u32, t.now(), 0);
-            }
-        }
+        let (InFlight::Write { lba, seq, trace }, collected) = self.collect_ack(idx)? else {
+            unreachable!("only foreground writes stay in flight between calls")
+        };
+        let stage = if collected.is_ok() {
+            TraceStage::ReplicaAck
+        } else {
+            TraceStage::AckError
+        };
+        self.tracer.complete(trace, stage, idx as u32, 0);
         match collected {
             Ok(()) => {
                 let r = &mut self.replicas[idx];
@@ -784,17 +701,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
                 r.acked_writes += 1;
                 Some((lba, seq))
             }
-            Err(e) => {
-                // A recv failure means the response was NOT consumed —
-                // the delivered write's ack can still arrive after the
-                // link heals, sealed under this (now closed) epoch.
-                // Open a new generation so that late ack identifies
-                // itself as stale instead of being matched against a
-                // newer frame. A NAK or corrupt-NAK *was* this write's
-                // response, so no generation change is needed.
-                if matches!(e, ClusterError::Repl(ReplError::Net(_))) {
-                    self.replicas[idx].epoch += 1;
-                }
+            Err(_) => {
                 // The frame *was* sent; the replica may have applied it
                 // before the link died. Replaying its parity chain
                 // could double-XOR, so the block is uncertain.
@@ -822,9 +729,9 @@ impl<D: BlockDevice> ClusterGroup<D> {
         // A rejoin opens a fresh response generation. Stray responses
         // still queued from before the outage are noise (their writes
         // already booked as failed, their blocks marked uncertain) —
-        // they carry an older epoch, so the ack loop drops them on
-        // sight instead of guessing with a skip budget.
-        self.replicas[idx].epoch += 1;
+        // they carry an older epoch, so the link drops them on sight
+        // instead of guessing with a skip budget.
+        self.replicas[idx].link.abandon();
         let plan = self.build_plan(idx, strategy);
         self.replicas[idx].resync = Some(plan);
         self.publish_replica_gauges(idx);
@@ -866,11 +773,11 @@ impl<D: BlockDevice> ClusterGroup<D> {
             });
         }
 
-        // Send a batch (pipelined), remembering per-frame bookkeeping.
-        // The epoch cannot move under the batch: it only bumps on
-        // collection failures, which abort the step.
-        let epoch = self.replicas[idx].epoch;
-        let mut in_flight: Vec<(ResyncFrame, u64)> = Vec::new();
+        // Send a batch (pipelined). Each frame's dirty position is
+        // captured now because an ack clears the dirty entry: if the
+        // batch later errors, the whole batch is re-marked uncertain
+        // from these positions (see the error arm).
+        let mut marks: Vec<(Lba, u64)> = Vec::new();
         for _ in 0..max_frames {
             let Some(frame) = self.replicas[idx]
                 .resync
@@ -879,45 +786,48 @@ impl<D: BlockDevice> ClusterGroup<D> {
             else {
                 break;
             };
-            // Captured now because an ack clears the dirty entry: if
-            // the batch later errors, the whole batch is re-marked
-            // uncertain from these positions (see the error arm).
-            let mark_from = match &frame {
-                ResyncFrame::Full(lba) => self.replicas[idx].dirty.missed_from(*lba).unwrap_or(0),
-                ResyncFrame::Parity(_, seq, _) => *seq,
-            };
-            match &frame {
+            self.payload.clear();
+            let mark = match &frame {
                 ResyncFrame::Full(lba) => {
-                    if let Some(plan) = self.replicas[idx].resync.as_mut() {
+                    let r = &mut self.replicas[idx];
+                    if let Some(plan) = r.resync.as_mut() {
                         plan.pending_full.remove(&lba.index());
                     }
+                    let mark_from = r.dirty.missed_from(*lba).unwrap_or(0);
                     self.read_image(*lba)?;
-                    self.payload.clear();
                     Payload::write_full(&mut self.payload, *lba, &self.image);
+                    (*lba, mark_from)
                 }
-                ResyncFrame::Parity(lba, _, parity) => {
-                    self.payload.clear();
+                ResyncFrame::Parity(lba, seq, parity) => {
                     Payload::write_parity_header(&mut self.payload, *lba);
                     parity.write_into(&mut self.payload);
+                    (*lba, *seq)
                 }
-            }
-            match self.send_payload(idx) {
-                Ok(sealed) => self.replicas[idx].resync_bytes += sealed as u64,
+            };
+            let r = &mut self.replicas[idx];
+            match r
+                .link
+                .send(&self.payload, &mut self.frame, InFlight::Resync(frame))
+            {
+                Ok(sealed) => r.resync_bytes += sealed as u64,
                 Err(e) => {
+                    r.link.abandon();
                     self.abort_resync(idx);
                     self.publish_replica_gauges(idx);
                     return Err(e.into());
                 }
             }
-            in_flight.push((frame, mark_from));
+            marks.push(mark);
         }
 
         // Collect the batch's acks; record per-frame progress so an
         // abort mid-batch leaves the dirty map accurate.
-        let total = in_flight.len();
-        for i in 0..total {
-            match self.await_ack(idx, epoch) {
-                Ok(()) => match in_flight[i].0 {
+        while let Some((sent, collected)) = self.collect_ack(idx) {
+            let InFlight::Resync(frame) = sent else {
+                unreachable!("writes are drained before a resync batch")
+            };
+            match collected {
+                Ok(()) => match frame {
                     ResyncFrame::Full(lba) => self.replicas[idx].dirty.clear(lba),
                     ResyncFrame::Parity(lba, seq, _) => {
                         // The replica's copy now reflects the chain
@@ -933,10 +843,10 @@ impl<D: BlockDevice> ClusterGroup<D> {
                 },
                 Err(e) => {
                     // Unconsumed responses for the rest of the batch
-                    // can surface late after the link heals, sealed
-                    // under this epoch. Close the generation so they
-                    // are dropped by tag, not guessed at by count.
-                    self.replicas[idx].epoch += 1;
+                    // can surface late after the link heals. Close the
+                    // generation so they are dropped by tag, not
+                    // guessed at by count.
+                    self.replicas[idx].link.abandon();
                     // Credit inside an errored batch is unattributable:
                     // acks carry no frame identity, so a silently lost
                     // repair frame shifts every later ack one frame
@@ -946,11 +856,8 @@ impl<D: BlockDevice> ClusterGroup<D> {
                     // Re-mark the *whole* batch — acked prefix included
                     // — so the next attempt ships full images for all
                     // of it.
-                    for (frame, mark_from) in &in_flight {
-                        let lba = match frame {
-                            ResyncFrame::Full(lba) | ResyncFrame::Parity(lba, _, _) => *lba,
-                        };
-                        self.replicas[idx].dirty.mark_uncertain(lba, *mark_from);
+                    for &(lba, mark_from) in &marks {
+                        self.replicas[idx].dirty.mark_uncertain(lba, mark_from);
                     }
                     self.abort_resync(idx);
                     self.publish_replica_gauges(idx);
@@ -958,6 +865,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
                 }
             }
         }
+        let total = marks.len();
 
         let remaining = self.replicas[idx]
             .resync
@@ -1044,25 +952,21 @@ impl<D: BlockDevice> ClusterGroup<D> {
         }
         let mut outcome = ScrubOutcome::default();
         let mut divergent: Vec<Lba> = Vec::new();
-        let epoch = self.replicas[idx].epoch;
         for &lba in lbas {
-            self.payload.clear();
-            self.payload.extend_from_slice(&encode_digest_request(lba));
-            match self.send_payload(idx) {
-                Ok(sealed) => self.replicas[idx].scrub_bytes += sealed as u64,
-                Err(e) => {
-                    self.note_failure(idx, None, false);
-                    return Err(e.into());
-                }
-            }
-            let digest = match self.await_digest(idx, epoch) {
+            let request = encode_digest_request(lba);
+            let probe = self.request(
+                idx,
+                &request,
+                None,
+                |r| &mut r.scrub_bytes,
+                |answer| match answer {
+                    Response::Digest(digest) => Some(digest),
+                    _ => None,
+                },
+            );
+            let digest = match probe {
                 Ok(digest) => digest,
                 Err(e) => {
-                    // An unconsumed digest response can surface late;
-                    // close the generation so it is dropped by tag.
-                    if matches!(e, ClusterError::Repl(ReplError::Net(_))) {
-                        self.replicas[idx].epoch += 1;
-                    }
                     self.note_failure(idx, None, false);
                     return Err(e);
                 }
@@ -1271,26 +1175,36 @@ impl<D: BlockDevice> ClusterGroup<D> {
         Ok(())
     }
 
-    /// Seals the staged payload under replica `idx`'s epoch into the
-    /// reused frame buffer and sends it. Returns the sealed length.
-    fn send_payload(&mut self, idx: usize) -> Result<usize, ReplError> {
-        self.frame.clear();
-        seal_frame_into(self.replicas[idx].epoch, &self.payload, &mut self.frame);
-        self.replicas[idx].transport.send(&self.frame)?;
-        Ok(self.frame.len())
+    /// Sends `request` to replica `idx` (a read or digest request,
+    /// tagged with `trace`), books its sealed length in the counter
+    /// `bytes` picks, and collects the value `take` picks out of the
+    /// answer.
+    fn request<R>(
+        &mut self,
+        idx: usize,
+        request: &[u8],
+        trace: Option<TraceId>,
+        bytes: fn(&mut Replica) -> &mut u64,
+        take: impl FnOnce(Response<'_>) -> Option<R>,
+    ) -> Result<R, ClusterError> {
+        let r = &mut self.replicas[idx];
+        let sealed = r
+            .link
+            .send(request, &mut self.frame, InFlight::Request(trace))?;
+        *bytes(r) += sealed as u64;
+        let (_, answer) = self.collect(idx, take).expect("the request is in flight");
+        answer
     }
 
-    /// Waits for one ACK from replica `idx`, recording the round-trip
+    /// Collects one ACK from replica `idx`, recording the round-trip
     /// wait (and any NAK / collection failure) in the attached registry.
-    fn await_ack(&mut self, idx: usize, expected_epoch: u64) -> Result<(), ClusterError> {
+    fn collect_ack(&mut self, idx: usize) -> Option<(InFlight, Result<(), ClusterError>)> {
         let started = self.obs.as_ref().map(|o| o.clock.now_nanos());
-        let result = self.await_response(idx, expected_epoch, |answer| {
-            (answer == Response::Ack).then_some(())
-        });
+        let collected = self.collect(idx, |answer| (answer == Response::Ack).then_some(()))?;
         if let (Some(obs), Some(t0)) = (&self.obs, started) {
             let now = obs.clock.now_nanos();
             obs.ack_rtt.record(now.saturating_sub(t0));
-            match &result {
+            match &collected.1 {
                 Ok(()) => {}
                 Err(ClusterError::Repl(ReplError::Nak { .. })) => obs
                     .registry
@@ -1302,67 +1216,34 @@ impl<D: BlockDevice> ClusterGroup<D> {
                     .record(Event::new(now, EventKind::AckError).replica(idx)),
             }
         }
-        result
+        Some(collected)
     }
 
-    /// Waits for one digest response from replica `idx`.
-    fn await_digest(&mut self, idx: usize, expected_epoch: u64) -> Result<u32, ClusterError> {
-        self.await_response(idx, expected_epoch, |answer| match answer {
-            Response::Digest(digest) => Some(digest),
-            _ => None,
-        })
-    }
-
-    /// Waits for replica `idx`'s answer to a frame sealed under
-    /// `expected_epoch` and hands it to `take`, which picks out the
-    /// expected kind of answer; any other kind is misaligned traffic
-    /// ([`ReplError::MissingAck`]). Answers from an older generation —
-    /// responses stranded by a failure or rejoin, already booked — are
-    /// dropped on sight, counted in `wrong_epoch_acks` and marked on the
-    /// awaited trace. A corrupt NAK counts in `checksum_failures`.
-    fn await_response<T>(
+    /// Collects replica `idx`'s answer to its oldest in-flight frame
+    /// (`None` if nothing is in flight) and hands it to `take`, which
+    /// picks out the expected kind of answer. Stale answers the link
+    /// dropped are counted in `wrong_epoch_acks` and marked on the
+    /// frame's trace; a corrupt NAK counts in `checksum_failures`.
+    fn collect<R>(
         &mut self,
         idx: usize,
-        expected_epoch: u64,
-        take: impl FnOnce(Response<'_>) -> Option<T>,
-    ) -> Result<T, ClusterError> {
-        loop {
-            let frame = self.replicas[idx]
-                .transport
-                .recv_timeout(self.config.ack_timeout)
-                .map_err(ReplError::from)?;
-            match classify_response(&frame, idx, expected_epoch) {
-                Ok(Response::Stale) => {
-                    if let Some(obs) = &self.obs {
-                        obs.wrong_epoch_acks.inc();
-                    }
-                    if let Some(t) = &self.tracer {
-                        if let Some(id) = t.awaiting {
-                            t.sink.mark_wrong_epoch(id, idx as u32, t.now());
-                        }
-                    }
-                }
-                Ok(answer) => {
-                    return take(answer).ok_or_else(|| {
-                        ReplError::MissingAck {
-                            replica: idx,
-                            got: frame.first().copied(),
-                        }
-                        .into()
-                    })
-                }
-                Err(e) => {
-                    // The digest values of a corrupt NAK live on the
-                    // replica — the status byte is the signal.
-                    let corrupt_nak = frame.first() == Some(&NAK_CORRUPT)
-                        && matches!(e, ReplError::ChecksumMismatch { .. });
-                    if let (true, Some(obs)) = (corrupt_nak, &self.obs) {
-                        obs.checksum_failures.inc();
-                    }
-                    return Err(e.into());
-                }
+        take: impl FnOnce(Response<'_>) -> Option<R>,
+    ) -> Option<(InFlight, Result<R, ClusterError>)> {
+        let collected = self.replicas[idx]
+            .link
+            .collect(self.config.ack_timeout, take)?;
+        if let Some(obs) = &self.obs {
+            obs.wrong_epoch_acks.add(u64::from(collected.stale));
+            if collected.corrupt_nak {
+                obs.checksum_failures.inc();
             }
         }
+        let trace = match collected.tag {
+            InFlight::Write { trace, .. } | InFlight::Request(trace) => trace,
+            InFlight::Resync(_) => None,
+        };
+        self.tracer.wrong_epoch(trace, idx as u32, collected.stale);
+        Some((collected.tag, collected.result.map_err(Into::into)))
     }
 
     fn build_plan(&self, idx: usize, strategy: ResyncStrategy) -> ResyncPlan {

@@ -6,12 +6,9 @@ use std::time::Duration;
 use prins_block::{BlockDevice, Lba};
 use prins_net::{Clock, Transport, WallClock};
 use prins_policy::{AdaptiveReplicator, PolicyConfig, WorkloadPhase};
-use prins_repl::{
-    classify_response, seal_begin, AckPolicy, Payload, ReplError, ReplicationMode, Replicator,
-    Response,
-};
+use prins_repl::{AckPolicy, Payload, ReplError, ReplicaLink, ReplicationMode, Replicator};
 
-use crate::pipeline::{PipelineConfig, PipelineTuning, LANE_EPOCH};
+use crate::pipeline::{PipelineConfig, PipelineTuning};
 use crate::PrinsEngine;
 
 /// Configures and starts a [`PrinsEngine`].
@@ -138,13 +135,6 @@ impl EngineBuilder {
     /// single acknowledgement (default 1 = off).
     pub fn batch_frames(mut self, max: usize) -> Self {
         self.config.batch_frames = max.max(1);
-        self
-    }
-
-    /// Caps each sender lane's queue (default 1024 frames); a full
-    /// lane backpressures the encode pool.
-    pub fn sender_queue_cap(mut self, cap: usize) -> Self {
-        self.config.queue_cap = cap.max(1);
         self
     }
 
@@ -287,9 +277,9 @@ impl EngineBuilder {
         let clock = self
             .clock
             .unwrap_or_else(|| Arc::new(WallClock::new()) as Arc<dyn Clock>);
-        initial_sync(
+        let replicas = initial_sync(
             &*self.device,
-            &self.replicas,
+            self.replicas,
             config.ack_window,
             config.ack_timeout,
         )?;
@@ -298,7 +288,7 @@ impl EngineBuilder {
             self.mode,
             self.replicator,
             adaptive,
-            self.replicas,
+            replicas,
             config,
             clock,
             self.registry,
@@ -329,51 +319,47 @@ impl EngineBuilder {
 }
 
 /// Pushes a full image of `device` to every replica, ending with a sync
-/// marker. Frames are sealed under the lanes' epoch; up to `window` of
-/// them ride unacknowledged per replica, so the bulk transfer pipelines
-/// instead of stalling one round-trip per block.
+/// marker, and hands the transports back. Up to `window` frames ride
+/// unacknowledged per replica, so the bulk transfer pipelines instead
+/// of stalling one round-trip per block. Every link is fresh and ends
+/// with nothing in flight, so the lanes that take the transports over
+/// start at the same epoch.
 fn initial_sync(
     device: &dyn BlockDevice,
-    replicas: &[Box<dyn Transport>],
+    replicas: Vec<Box<dyn Transport>>,
     window: usize,
     timeout: Duration,
-) -> Result<(), ReplError> {
-    let collect_round = || -> Result<(), ReplError> {
-        for (idx, replica) in replicas.iter().enumerate() {
-            let answer = replica.recv_timeout(timeout)?;
-            if classify_response(&answer, idx, 0)? != Response::Ack {
-                return Err(ReplError::MissingAck {
-                    replica: idx,
-                    got: answer.first().copied(),
-                });
-            }
-        }
-        Ok(())
-    };
+) -> Result<Vec<Box<dyn Transport>>, ReplError> {
+    let mut links: Vec<ReplicaLink<()>> = replicas
+        .into_iter()
+        .enumerate()
+        .map(|(idx, transport)| ReplicaLink::new(idx, transport))
+        .collect();
     let mut block = vec![0u8; device.geometry().block_size().bytes()];
     let mut frame = Vec::with_capacity(block.len() + 32);
-    let mut in_flight = 0;
     for lba in device.geometry().range().iter().map(Some).chain([None]) {
-        frame.clear();
-        let seal = seal_begin(LANE_EPOCH, &mut frame);
-        match lba {
-            Some(lba) => {
-                device.read_block(lba, &mut block)?;
-                Payload::write_full(&mut frame, lba, &block);
+        if let Some(lba) = lba {
+            device.read_block(lba, &mut block)?;
+        }
+        for link in &mut links {
+            let write = |out: &mut Vec<u8>| match lba {
+                Some(lba) => Payload::write_full(out, lba, &block),
+                None => Payload::write_sync_marker(out, Lba(0)),
+            };
+            link.send_with(&mut frame, write, ())?;
+            while link.in_flight() > window {
+                link.collect_ack(timeout)
+                    .expect("a frame is in flight")
+                    .result?;
             }
-            None => Payload::write_sync_marker(&mut frame, Lba(0)),
-        }
-        seal.finish(&mut frame);
-        for replica in replicas {
-            replica.send(&frame)?;
-        }
-        in_flight += 1;
-        while in_flight > window {
-            collect_round()?;
-            in_flight -= 1;
         }
     }
-    (0..in_flight).try_for_each(|_| collect_round())
+    for link in &mut links {
+        while let Some(answer) = link.collect_ack(timeout) {
+            answer.result?;
+        }
+    }
+    Ok(links.into_iter().map(ReplicaLink::into_transport).collect())
 }
 
 impl std::fmt::Debug for EngineBuilder {

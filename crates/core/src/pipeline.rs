@@ -65,10 +65,7 @@ use prins_block::Lba;
 use prins_buf::{BufPool, PooledBuf, PooledBytes};
 use prins_net::{Clock, Transport};
 use prins_obs::{Event, EventKind, TraceId, TraceSink, TraceStage, NO_LANE};
-use prins_repl::{
-    classify_response, seal_batch_frame_into, seal_frame_into, ReplError, Replicator, Response,
-    SeqRange, NAK_CORRUPT,
-};
+use prins_repl::{ReplError, ReplicaLink, Replicator, SeqRange};
 
 use crate::obs::PipeObs;
 
@@ -85,9 +82,6 @@ pub(crate) struct PipelineConfig {
     pub batch_frames: usize,
     /// In-flight (unacknowledged) frames allowed per lane.
     pub ack_window: usize,
-    /// Bounded sender-lane queue capacity (backpressure towards the
-    /// encode pool).
-    pub queue_cap: usize,
     /// How long a lane waits for each acknowledgement.
     pub ack_timeout: Duration,
     /// Record every (lba, seq) a lane sends, for ordering tests.
@@ -104,7 +98,6 @@ impl Default for PipelineConfig {
             coalesce: false,
             batch_frames: 1,
             ack_window: 1,
-            queue_cap: 1024,
             ack_timeout: Duration::from_secs(10),
             trace_sends: false,
             manual: false,
@@ -240,16 +233,19 @@ struct ReorderState {
     ready: HashMap<u64, Ready>,
 }
 
+/// An encoded payload released to a lane.
+struct Released {
+    seq: u64,
+    lba: Lba,
+    writes: u64,
+    bytes: PooledBytes,
+    /// Clock reading at release to the lanes (0 when observability is
+    /// off); the lane-queue wait is measured against it.
+    released_at: u64,
+}
+
 enum LaneMsg {
-    Payload {
-        seq: u64,
-        lba: Lba,
-        writes: u64,
-        bytes: PooledBytes,
-        /// Clock reading at release to the lanes (0 when observability
-        /// is off); the lane-queue wait is measured against it.
-        released_at: u64,
-    },
+    Payload(Released),
     Barrier(Arc<BarrierGate>),
     Shutdown,
 }
@@ -351,14 +347,15 @@ impl LaneState {
 
     /// Pops the next message only if it is a payload — batching must
     /// not reorder across barriers.
-    fn try_pop_payload(&self) -> Option<LaneMsg> {
+    fn try_pop_payload(&self) -> Option<Released> {
         let mut q = self.queue.lock().unwrap();
-        if matches!(q.front(), Some(LaneMsg::Payload { .. })) {
-            let msg = q.pop_front();
-            self.not_full.notify_one();
-            msg
-        } else {
-            None
+        if !matches!(q.front(), Some(LaneMsg::Payload(_))) {
+            return None;
+        }
+        self.not_full.notify_one();
+        match q.pop_front() {
+            Some(LaneMsg::Payload(released)) => Some(released),
+            _ => None,
         }
     }
 
@@ -391,23 +388,19 @@ struct Inner {
     pool: BufPool,
 }
 
-/// One lane's sender context in manual mode: the transport plus the
-/// in-flight frame accounting the lane thread would otherwise keep on
-/// its stack.
-struct SteppedLane {
-    transport: Box<dyn Transport>,
-    rt: LaneRt,
-}
-
-/// A lane's frame bookkeeping, owned by its thread (or by the stepped
-/// driver).
-#[derive(Default)]
-struct LaneRt {
-    /// Sent, unacknowledged frames.
-    outstanding: VecDeque<InFlight>,
+/// One replica's sender, owned by its lane thread (or by the stepped
+/// driver): the replica link with its in-flight frames, and what the
+/// lane reads from the rest of the pipeline.
+struct Lane {
+    idx: usize,
+    link: ReplicaLink<InFlight>,
     /// The payloads packed into the frame being assembled — kept across
     /// frames so assembly never allocates.
     batch: Vec<PooledBytes>,
+    inner: Arc<Inner>,
+    tuning: Arc<PipelineTuning>,
+    ack_window: usize,
+    ack_timeout: Duration,
 }
 
 /// One sent, unacknowledged frame: the writes it carries plus the
@@ -424,9 +417,21 @@ struct InFlight {
     frame: PooledBuf,
 }
 
-/// Lanes have no replica lifecycle (no offline/rejoin), so every frame
-/// is sealed under the constant first epoch.
-pub(crate) const LANE_EPOCH: u64 = 1;
+impl AsRef<[u8]> for InFlight {
+    fn as_ref(&self) -> &[u8] {
+        &self.frame
+    }
+}
+
+impl AsMut<Vec<u8>> for InFlight {
+    fn as_mut(&mut self) -> &mut Vec<u8> {
+        self.frame.vec_mut()
+    }
+}
+
+/// Bounded sender-lane queue capacity: a full lane backpressures the
+/// encode pool.
+const QUEUE_CAP: usize = 1024;
 
 /// Retransmissions attempted per frame before a corrupt NAK becomes a
 /// lane error.
@@ -435,8 +440,7 @@ const MAX_RETRANSMITS: u32 = 3;
 /// Manual-mode runtime: everything the worker threads would own.
 struct Stepped {
     replicator: Arc<dyn Replicator>,
-    lanes: Mutex<Vec<SteppedLane>>,
-    cfg: PipelineConfig,
+    lanes: Mutex<Vec<Lane>>,
 }
 
 pub(crate) struct Pipeline {
@@ -459,11 +463,7 @@ impl Pipeline {
     ) -> Self {
         // In manual mode a bounded lane queue would deadlock the single
         // driving thread, and backpressure is meaningless anyway.
-        let queue_cap = if config.manual {
-            usize::MAX
-        } else {
-            config.queue_cap
-        };
+        let queue_cap = if config.manual { usize::MAX } else { QUEUE_CAP };
         let lanes: Vec<Arc<LaneState>> = transports
             .iter()
             .map(|_| Arc::new(LaneState::new(queue_cap, config.trace_sends)))
@@ -486,6 +486,19 @@ impl Pipeline {
             clock,
             pool,
         });
+        let senders: Vec<Lane> = transports
+            .into_iter()
+            .enumerate()
+            .map(|(idx, transport)| Lane {
+                idx,
+                link: ReplicaLink::new(idx, transport),
+                batch: Vec::new(),
+                inner: Arc::clone(&inner),
+                tuning: Arc::clone(&tuning),
+                ack_window: config.ack_window.max(1),
+                ack_timeout: config.ack_timeout,
+            })
+            .collect();
 
         if config.manual {
             return Self {
@@ -495,16 +508,7 @@ impl Pipeline {
                 lane_handles: Mutex::new(None),
                 stepped: Some(Stepped {
                     replicator,
-                    lanes: Mutex::new(
-                        transports
-                            .into_iter()
-                            .map(|transport| SteppedLane {
-                                transport,
-                                rt: LaneRt::default(),
-                            })
-                            .collect(),
-                    ),
-                    cfg: config.clone(),
+                    lanes: Mutex::new(senders),
                 }),
             };
         }
@@ -521,32 +525,15 @@ impl Pipeline {
             );
         }
 
-        let mut lane_handles = Vec::new();
-        for (idx, transport) in transports.into_iter().enumerate() {
-            let lane = Arc::clone(&inner.lanes[idx]);
-            let shared = Arc::clone(&inner.shared);
-            let cfg = config.clone();
-            let clock = Arc::clone(&inner.clock);
-            let pool = inner.pool.clone();
-            let tuning = Arc::clone(&tuning);
-            lane_handles.push(
+        let lane_handles = senders
+            .into_iter()
+            .map(|mut lane| {
                 std::thread::Builder::new()
-                    .name(format!("prins-sender-{idx}"))
-                    .spawn(move || {
-                        run_lane(
-                            idx,
-                            &*transport,
-                            &lane,
-                            &shared,
-                            &cfg,
-                            &*clock,
-                            &pool,
-                            &tuning,
-                        )
-                    })
-                    .expect("spawn prins sender lane"),
-            );
-        }
+                    .name(format!("prins-sender-{}", lane.idx))
+                    .spawn(move || while lane.handle(lane.inner.lanes[lane.idx].pop()) {})
+                    .expect("spawn prins sender lane")
+            })
+            .collect();
 
         Self {
             inner,
@@ -574,55 +561,13 @@ impl Pipeline {
             encode_and_release(&self.inner, &*stepped.replicator, job);
             progressed = true;
         }
-        let mut lanes_rt = stepped.lanes.lock().unwrap();
-        for (idx, rt) in lanes_rt.iter_mut().enumerate() {
-            let lane = &self.inner.lanes[idx];
-            while let Some(msg) = lane.try_pop() {
+        for lane in stepped.lanes.lock().unwrap().iter_mut() {
+            while let Some(msg) = lane.inner.lanes[lane.idx].try_pop() {
                 progressed = true;
-                match msg {
-                    LaneMsg::Payload {
-                        seq,
-                        lba,
-                        writes,
-                        bytes,
-                        released_at,
-                    } => lane_handle_payload(
-                        idx,
-                        &*rt.transport,
-                        lane,
-                        &self.inner.shared,
-                        &stepped.cfg,
-                        &*self.inner.clock,
-                        &self.inner.pool,
-                        self.tuning.batch_frames(),
-                        &mut rt.rt,
-                        seq,
-                        lba,
-                        writes,
-                        bytes,
-                        released_at,
-                    ),
-                    LaneMsg::Barrier(gate) => {
-                        self.collect_lane(stepped, idx, rt);
-                        gate.arrive();
-                    }
-                    LaneMsg::Shutdown => self.collect_lane(stepped, idx, rt),
-                }
+                lane.handle(msg);
             }
         }
         progressed
-    }
-
-    fn collect_lane(&self, stepped: &Stepped, idx: usize, rt: &mut SteppedLane) {
-        collect_all(
-            idx,
-            &*rt.transport,
-            &self.inner.lanes[idx],
-            &self.inner.shared,
-            &stepped.cfg,
-            &*self.inner.clock,
-            &mut rt.rt,
-        );
     }
 
     pub fn lanes(&self) -> &[Arc<LaneState>] {
@@ -719,11 +664,12 @@ impl Pipeline {
     pub fn barrier(&self) {
         if let Some(stepped) = &self.stepped {
             self.step();
-            let mut lanes_rt = stepped.lanes.lock().unwrap();
-            for (idx, rt) in lanes_rt.iter_mut().enumerate() {
-                self.collect_lane(stepped, idx, rt);
-            }
-            drop(lanes_rt);
+            stepped
+                .lanes
+                .lock()
+                .unwrap()
+                .iter_mut()
+                .for_each(Lane::collect_all);
             self.record_barrier();
             return;
         }
@@ -758,10 +704,12 @@ impl Pipeline {
         self.inner.admit_cv.notify_all();
         if let Some(stepped) = &self.stepped {
             self.step();
-            let mut lanes_rt = stepped.lanes.lock().unwrap();
-            for (idx, rt) in lanes_rt.iter_mut().enumerate() {
-                self.collect_lane(stepped, idx, rt);
-            }
+            stepped
+                .lanes
+                .lock()
+                .unwrap()
+                .iter_mut()
+                .for_each(Lane::collect_all);
             return;
         }
         for handle in self.encode_handles.lock().unwrap().drain(..) {
@@ -872,13 +820,13 @@ fn encode_and_release(inner: &Inner, replicator: &dyn Replicator, job: EncodeJob
             trace.release(id, released_at);
         }
         for lane in &inner.lanes {
-            lane.push(LaneMsg::Payload {
+            lane.push(LaneMsg::Payload(Released {
                 seq,
                 lba: ready.lba,
                 writes: ready.writes,
                 bytes: ready.payload.clone(),
                 released_at,
-            });
+            }));
         }
     }
     drop(ro);
@@ -907,365 +855,249 @@ fn run_encoder(inner: &Inner, replicator: &dyn Replicator) {
     }
 }
 
-/// One released payload's lane work: batch in queued successors, send
-/// the frame, retire acknowledgements down to the window. Shared by the
-/// lane threads and the stepped driver.
-///
-/// Frame assembly is single-copy: each payload's bytes move from their
-/// pooled buffer straight into the sealed wire buffer (also pooled)
-/// through [`seal_frame_into`] or, for a batch, [`seal_batch_frame_into`],
-/// which writes the batch header in place and covers the whole batch
-/// with one CRC pass.
-#[allow(clippy::too_many_arguments)]
-fn lane_handle_payload(
-    idx: usize,
-    transport: &dyn Transport,
-    lane: &LaneState,
-    shared: &Shared,
-    cfg: &PipelineConfig,
-    clock: &dyn Clock,
-    pool: &BufPool,
-    batch_frames: usize,
-    rt: &mut LaneRt,
-    seq: u64,
-    lba: Lba,
-    writes: u64,
-    bytes: PooledBytes,
-    released_at: u64,
-) {
-    let obs = shared.obs.as_ref();
-    let tsink = shared.trace.as_ref();
-    let picked_up = if obs.is_some() || tsink.is_some() {
-        let now = clock.now_nanos();
-        if let Some(obs) = obs {
-            obs.lane_queue.record(now.saturating_sub(released_at));
-        }
-        now
-    } else {
-        0
-    };
-    let first_seq = seq;
-    let first_lba = lba;
-    let tracing = lane.send_log.is_some();
-    let mut trace: Vec<(Lba, u64)> = Vec::new();
-    if tracing {
-        trace.push((lba, seq));
-    }
-    if let Some(tsink) = tsink {
-        tsink.event(
-            TraceId::from_seq(seq),
-            TraceStage::LaneQueue,
-            idx as u32,
-            picked_up,
-            bytes.len(),
-        );
-    }
-    let mut range = SeqRange::single(seq);
-    let mut total_writes = writes;
-    let batch = &mut rt.batch;
-    batch.push(bytes);
-    while batch.len() < batch_frames {
-        match lane.try_pop_payload() {
-            Some(LaneMsg::Payload {
-                seq,
-                lba,
-                writes,
-                bytes,
-                released_at,
-            }) => {
-                if let Some(obs) = obs {
-                    obs.lane_queue.record(picked_up.saturating_sub(released_at));
-                }
-                if tracing {
-                    trace.push((lba, seq));
-                }
-                if let Some(tsink) = tsink {
-                    tsink.event(
-                        TraceId::from_seq(seq),
-                        TraceStage::LaneQueue,
-                        idx as u32,
-                        picked_up,
-                        bytes.len(),
-                    );
-                }
-                let contiguous = range.push(seq);
-                debug_assert!(contiguous, "lane batches are contiguous seq runs");
-                total_writes += writes;
-                batch.push(bytes);
-            }
-            _ => break,
-        }
-    }
-    let payload_len: usize = batch.iter().map(|p| p.len()).sum();
-    let mut wire = pool.get(payload_len + 10 * batch.len() + 32);
-    if let [single] = batch.as_slice() {
-        seal_frame_into(LANE_EPOCH, single, wire.vec_mut());
-    } else {
-        seal_batch_frame_into(LANE_EPOCH, batch, wire.vec_mut());
-    }
-    shared
-        .hot_bytes_copied
-        .fetch_add(payload_len as u64, Ordering::Relaxed);
-    // Recycle the payload buffers before the send.
-    batch.clear();
-
-    let t0 = clock.now_nanos();
-    let sent = transport.send(&wire);
-    let t1 = clock.now_nanos();
-    lane.send_nanos
-        .fetch_add(t1.saturating_sub(t0), Ordering::Relaxed);
-    if let Some(obs) = obs {
-        obs.send.record(t1.saturating_sub(t0));
-    }
-    match sent {
-        Ok(()) => {
-            lane.sends.fetch_add(1, Ordering::Relaxed);
-            lane.payload_bytes
-                .fetch_add(wire.len() as u64, Ordering::Relaxed);
-            lane.record_sent(&trace);
-            if let Some(obs) = obs {
-                obs.record(
-                    Event::new(
-                        t1,
-                        EventKind::Send {
-                            writes: total_writes.min(u32::MAX as u64) as u32,
-                        },
-                    )
-                    .seq(first_seq)
-                    .lba(first_lba.0)
-                    .replica(idx),
-                );
-            }
-            if let Some(tsink) = tsink {
-                let wire_len = wire.len();
-                for s in range.iter() {
-                    tsink.event(
-                        TraceId::from_seq(s),
-                        TraceStage::Send,
-                        idx as u32,
-                        t1,
-                        if s == first_seq { wire_len } else { 0 },
-                    );
-                }
-            }
-            rt.outstanding.push_back(InFlight {
-                writes: total_writes,
-                range,
-                frame: wire,
-            });
-            while rt.outstanding.len() >= cfg.ack_window.max(1) {
-                collect_one(idx, transport, lane, shared, cfg, clock, rt);
-            }
-        }
-        Err(e) => {
-            // The frame retires unsent; the error surfaces at the next
-            // flush.
-            lane.errors.fetch_add(1, Ordering::Relaxed);
-            if let Some(obs) = obs {
-                obs.record(
-                    Event::new(t1, EventKind::SendError)
-                        .seq(first_seq)
-                        .lba(first_lba.0)
-                        .replica(idx),
-                );
-            }
-            if let Some(tsink) = tsink {
-                for s in range.iter() {
-                    tsink.complete(
-                        TraceId::from_seq(s),
-                        TraceStage::SendError,
-                        idx as u32,
-                        t1,
-                        0,
-                    );
-                }
-            }
-            record_error(shared, &e.into());
-        }
-    }
-}
-
-/// Sender-lane thread: batches queued payloads into frames, sends them
-/// and retires acknowledgements within the configured window.
-#[allow(clippy::too_many_arguments)]
-fn run_lane(
-    idx: usize,
-    transport: &dyn Transport,
-    lane: &LaneState,
-    shared: &Shared,
-    cfg: &PipelineConfig,
-    clock: &dyn Clock,
-    pool: &BufPool,
-    tuning: &PipelineTuning,
-) {
-    let mut rt = LaneRt::default();
-    loop {
-        match lane.pop() {
-            LaneMsg::Shutdown => {
-                collect_all(idx, transport, lane, shared, cfg, clock, &mut rt);
-                return;
-            }
+impl Lane {
+    /// Handles one queued message; returns `false` once the lane has
+    /// shut down. A barrier or shutdown first retires every in-flight
+    /// frame.
+    fn handle(&mut self, msg: LaneMsg) -> bool {
+        match msg {
+            LaneMsg::Payload(released) => self.send(released),
             LaneMsg::Barrier(gate) => {
-                collect_all(idx, transport, lane, shared, cfg, clock, &mut rt);
+                self.collect_all();
                 gate.arrive();
             }
-            LaneMsg::Payload {
-                seq,
-                lba,
-                writes,
-                bytes,
-                released_at,
-            } => lane_handle_payload(
-                idx,
-                transport,
-                lane,
-                shared,
-                cfg,
-                clock,
-                pool,
-                tuning.batch_frames(),
-                &mut rt,
-                seq,
-                lba,
-                writes,
-                bytes,
-                released_at,
-            ),
+            LaneMsg::Shutdown => {
+                self.collect_all();
+                return false;
+            }
         }
+        true
     }
-}
 
-/// Retires the oldest in-flight frame with one acknowledgement. A
-/// corrupt NAK — the frame was damaged in flight, caught by the seal's
-/// CRC32C — retransmits the retained copy up to [`MAX_RETRANSMITS`]
-/// times, waiting one `ack_timeout` longer per attempt so the retry
-/// rides out whatever delayed traffic damaged the first copy.
-///
-/// Retransmission needs unambiguous response alignment: acks carry no
-/// frame identity, so a retry's ack is only attributable when this
-/// frame is the *sole* in-flight one (always true in the closed-loop
-/// window of 1). With more frames in the window a corrupt NAK falls
-/// through to the error path instead, and the block is repaired by the
-/// resync layer rather than guessed at here.
-fn collect_one(
-    idx: usize,
-    transport: &dyn Transport,
-    lane: &LaneState,
-    shared: &Shared,
-    cfg: &PipelineConfig,
-    clock: &dyn Clock,
-    rt: &mut LaneRt,
-) {
-    let obs = shared.obs.as_ref();
-    let tsink = shared.trace.as_ref();
-    let InFlight {
-        writes: frame_writes,
-        range,
-        frame,
-    } = rt.outstanding.pop_front().expect("outstanding frame");
-    let sole_in_flight = rt.outstanding.is_empty();
-    let mut attempt: u32 = 0;
-    let mut waited: u64 = 0;
-    let mut t1;
-    let result: Result<(), ReplError> = loop {
-        let t0 = clock.now_nanos();
-        let answer = transport.recv_timeout(cfg.ack_timeout * (attempt + 1));
-        t1 = clock.now_nanos();
-        waited += t1.saturating_sub(t0);
-        lane.ack_nanos
+    /// One released payload's lane work: batch in queued successors,
+    /// send the frame, retire acknowledgements down to the window.
+    ///
+    /// Frame assembly is single-copy: each payload's bytes move from
+    /// their pooled buffer straight into the sealed wire buffer (also
+    /// pooled) through [`ReplicaLink::send_retained`], which writes a
+    /// batch header in place and covers the whole batch with one CRC
+    /// pass.
+    fn send(&mut self, first: Released) {
+        let obs = self.inner.shared.obs.as_ref();
+        let tsink = self.inner.shared.trace.as_ref();
+        let lane = &*self.inner.lanes[self.idx];
+        let picked_up = if obs.is_some() || tsink.is_some() {
+            self.inner.clock.now_nanos()
+        } else {
+            0
+        };
+        let (first_seq, first_lba) = (first.seq, first.lba);
+        let tracing = lane.send_log.is_some();
+        let mut trace: Vec<(Lba, u64)> = Vec::new();
+        let mut range = SeqRange::single(first.seq);
+        let mut total_writes = 0;
+        let batch_frames = self.tuning.batch_frames();
+        let mut next = Some(first);
+        while let Some(released) = next {
+            if let Some(obs) = obs {
+                obs.lane_queue
+                    .record(picked_up.saturating_sub(released.released_at));
+            }
+            if tracing {
+                trace.push((released.lba, released.seq));
+            }
+            if let Some(tsink) = tsink {
+                tsink.event(
+                    TraceId::from_seq(released.seq),
+                    TraceStage::LaneQueue,
+                    self.idx as u32,
+                    picked_up,
+                    released.bytes.len(),
+                );
+            }
+            if released.seq != first_seq {
+                let contiguous = range.push(released.seq);
+                debug_assert!(contiguous, "lane batches are contiguous seq runs");
+            }
+            total_writes += released.writes;
+            self.batch.push(released.bytes);
+            next = if self.batch.len() < batch_frames {
+                lane.try_pop_payload()
+            } else {
+                None
+            };
+        }
+        let payload_len: usize = self.batch.iter().map(|p| p.len()).sum();
+        let frame = InFlight {
+            writes: total_writes,
+            range,
+            frame: self
+                .inner
+                .pool
+                .get(payload_len + 10 * self.batch.len() + 32),
+        };
+        self.inner
+            .shared
+            .hot_bytes_copied
+            .fetch_add(payload_len as u64, Ordering::Relaxed);
+
+        let t0 = self.inner.clock.now_nanos();
+        let sent = self.link.send_retained(&self.batch, frame);
+        let t1 = self.inner.clock.now_nanos();
+        // Recycle the payload buffers.
+        self.batch.clear();
+        lane.send_nanos
             .fetch_add(t1.saturating_sub(t0), Ordering::Relaxed);
-        let bytes = match answer {
-            Ok(bytes) => bytes,
-            Err(e) => break Err(e.into()),
-        };
-        // Lanes have no replica lifecycle, so no answer is stale.
-        let e = match classify_response(&bytes, idx, 0) {
-            Ok(Response::Ack) => break Ok(()),
-            Ok(_) => ReplError::MissingAck {
-                replica: idx,
-                got: bytes.first().copied(),
-            },
-            Err(e) => e,
-        };
-        let corrupt_nak =
-            bytes.first() == Some(&NAK_CORRUPT) && matches!(e, ReplError::ChecksumMismatch { .. });
-        if !corrupt_nak {
-            break Err(e);
-        }
         if let Some(obs) = obs {
-            obs.checksum_failures.inc();
+            obs.send.record(t1.saturating_sub(t0));
         }
-        if !sole_in_flight || attempt >= MAX_RETRANSMITS {
-            break Err(e);
-        }
-        attempt += 1;
-        if let Err(e) = transport.send(&frame) {
-            break Err(e.into());
-        }
+        let wire_len = match sent {
+            Ok(wire_len) => wire_len,
+            Err(e) => {
+                // The frame retires unsent; the error surfaces at the
+                // next flush.
+                lane.errors.fetch_add(1, Ordering::Relaxed);
+                if let Some(obs) = obs {
+                    obs.record(
+                        Event::new(t1, EventKind::SendError)
+                            .seq(first_seq)
+                            .lba(first_lba.0)
+                            .replica(self.idx),
+                    );
+                }
+                self.complete(range, TraceStage::SendError, t1);
+                record_error(&self.inner.shared, &e);
+                return;
+            }
+        };
+        lane.sends.fetch_add(1, Ordering::Relaxed);
         lane.payload_bytes
-            .fetch_add(frame.len() as u64, Ordering::Relaxed);
+            .fetch_add(wire_len as u64, Ordering::Relaxed);
+        lane.record_sent(&trace);
         if let Some(obs) = obs {
-            obs.retransmits.inc();
+            obs.record(
+                Event::new(
+                    t1,
+                    EventKind::Send {
+                        writes: total_writes.min(u32::MAX as u64) as u32,
+                    },
+                )
+                .seq(first_seq)
+                .lba(first_lba.0)
+                .replica(self.idx),
+            );
         }
         if let Some(tsink) = tsink {
             for s in range.iter() {
-                tsink.mark_retransmit(TraceId::from_seq(s), idx as u32, t1);
+                let bytes = if s == first_seq { wire_len } else { 0 };
+                tsink.event(
+                    TraceId::from_seq(s),
+                    TraceStage::Send,
+                    self.idx as u32,
+                    t1,
+                    bytes,
+                );
             }
         }
-    };
-    // One RTT sample and one terminal event per retired frame, however
-    // many retransmission round-trips it took.
-    if let Some(obs) = obs {
-        obs.ack_rtt.record(waited);
-    }
-    match result {
-        Ok(()) => {
-            lane.acked_writes.fetch_add(frame_writes, Ordering::Relaxed);
-            if let Some(obs) = obs {
-                obs.record(Event::new(t1, EventKind::AckOk).replica(idx));
-            }
-            if let Some(tsink) = tsink {
-                for s in range.iter() {
-                    tsink.complete(TraceId::from_seq(s), TraceStage::Ack, idx as u32, t1, 0);
-                }
-            }
-        }
-        Err(e) => {
-            if let Some(obs) = obs {
-                let kind = match e {
-                    ReplError::Nak { .. } => EventKind::Nak,
-                    _ => EventKind::AckError,
-                };
-                obs.record(Event::new(t1, kind).replica(idx));
-            }
-            if let Some(tsink) = tsink {
-                for s in range.iter() {
-                    tsink.complete(
-                        TraceId::from_seq(s),
-                        TraceStage::AckError,
-                        idx as u32,
-                        t1,
-                        0,
-                    );
-                }
-            }
-            lane.errors.fetch_add(1, Ordering::Relaxed);
-            record_error(shared, &e);
+        while self.link.in_flight() >= self.ack_window {
+            self.collect_one();
         }
     }
-}
 
-fn collect_all(
-    idx: usize,
-    transport: &dyn Transport,
-    lane: &LaneState,
-    shared: &Shared,
-    cfg: &PipelineConfig,
-    clock: &dyn Clock,
-    rt: &mut LaneRt,
-) {
-    while !rt.outstanding.is_empty() {
-        collect_one(idx, transport, lane, shared, cfg, clock, rt);
+    /// Retires the oldest in-flight frame with one acknowledgement. A
+    /// corrupt NAK — the frame was damaged in flight, caught by the
+    /// seal's CRC32C — retransmits the retained copy up to
+    /// [`MAX_RETRANSMITS`] times, waiting one `ack_timeout` longer per
+    /// attempt so the retry rides out whatever delayed traffic damaged
+    /// the first copy.
+    ///
+    /// Retransmission needs unambiguous response alignment: acks carry
+    /// no frame identity, so a retry's ack is only attributable when
+    /// this frame is the *sole* in-flight one (always true in the
+    /// closed-loop window of 1). With more frames in the window a
+    /// corrupt NAK falls through to the error path instead, and the
+    /// block is repaired by the resync layer rather than guessed at
+    /// here.
+    fn collect_one(&mut self) {
+        let obs = self.inner.shared.obs.as_ref();
+        let lane = &*self.inner.lanes[self.idx];
+        let sole_in_flight = self.link.in_flight() == 1;
+        let mut attempt: u32 = 0;
+        let mut waited: u64 = 0;
+        let (t1, writes, range, result) = loop {
+            let t0 = self.inner.clock.now_nanos();
+            let answer = self
+                .link
+                .collect_ack(self.ack_timeout * (attempt + 1))
+                .expect("a frame is in flight");
+            let t1 = self.inner.clock.now_nanos();
+            waited += t1.saturating_sub(t0);
+            lane.ack_nanos
+                .fetch_add(t1.saturating_sub(t0), Ordering::Relaxed);
+            let (writes, range) = (answer.tag.writes, answer.tag.range);
+            if let (true, Some(obs)) = (answer.corrupt_nak, obs) {
+                obs.checksum_failures.inc();
+            }
+            if !answer.corrupt_nak || !sole_in_flight || attempt >= MAX_RETRANSMITS {
+                break (t1, writes, range, answer.result);
+            }
+            attempt += 1;
+            let frame_len = answer.tag.frame.len();
+            if let Err(e) = self.link.resend(answer.tag) {
+                break (t1, writes, range, Err(e));
+            }
+            lane.payload_bytes
+                .fetch_add(frame_len as u64, Ordering::Relaxed);
+            if let Some(obs) = obs {
+                obs.retransmits.inc();
+            }
+            if let Some(tsink) = &self.inner.shared.trace {
+                for s in range.iter() {
+                    tsink.mark_retransmit(TraceId::from_seq(s), self.idx as u32, t1);
+                }
+            }
+        };
+        // One RTT sample and one terminal event per retired frame,
+        // however many retransmission round-trips it took.
+        if let Some(obs) = obs {
+            obs.ack_rtt.record(waited);
+        }
+        match result {
+            Ok(()) => {
+                lane.acked_writes.fetch_add(writes, Ordering::Relaxed);
+                if let Some(obs) = obs {
+                    obs.record(Event::new(t1, EventKind::AckOk).replica(self.idx));
+                }
+                self.complete(range, TraceStage::Ack, t1);
+            }
+            Err(e) => {
+                if let Some(obs) = obs {
+                    let kind = match e {
+                        ReplError::Nak { .. } => EventKind::Nak,
+                        _ => EventKind::AckError,
+                    };
+                    obs.record(Event::new(t1, kind).replica(self.idx));
+                }
+                self.complete(range, TraceStage::AckError, t1);
+                lane.errors.fetch_add(1, Ordering::Relaxed);
+                record_error(&self.inner.shared, &e);
+            }
+        }
+    }
+
+    fn collect_all(&mut self) {
+        while self.link.in_flight() > 0 {
+            self.collect_one();
+        }
+    }
+
+    /// Ends the lane's hop of every write in `range` at `stage`.
+    fn complete(&self, range: SeqRange, stage: TraceStage, at: u64) {
+        if let Some(tsink) = &self.inner.shared.trace {
+            for s in range.iter() {
+                tsink.complete(TraceId::from_seq(s), stage, self.idx as u32, at, 0);
+            }
+        }
     }
 }
 
@@ -1276,10 +1108,8 @@ mod tests {
     use std::time::Duration;
 
     use prins_block::{BlockDevice, BlockSize, Lba, MemDevice};
-    use prins_net::{
-        channel_pair, FaultTransport, LinkHandle, LinkModel, SimLinkCtl, SimNet, Transport as _,
-    };
-    use prins_repl::{encode_response, verify_consistent, AckPolicy, ReplError, ReplicaApplier};
+    use prins_net::{channel_pair, FaultTransport, LinkHandle, LinkModel, SimLinkCtl, SimNet};
+    use prins_repl::{verify_consistent, AckPolicy, ReplError, ReplicaApplier};
     use proptest::prelude::*;
     use rand::{RngExt, SeedableRng};
 
@@ -1344,23 +1174,7 @@ mod tests {
         for i in 0..n {
             let (a, b, ctl) = net.add_link(&format!("replica{i}"), delay);
             let device = Arc::new(MemDevice::new(BlockSize::kb4(), blocks));
-            let dev = Arc::clone(&device);
-            let tr = b.clone();
-            // The applier persists across actor invocations so its
-            // epoch and checksum table survive. Strict mode: a bit
-            // flip on the seal tag itself must not let the frame
-            // bypass verification.
-            let mut applier = ReplicaApplier::new(dev).require_sealed(true);
-            net.set_actor(
-                &b,
-                Box::new(move || {
-                    while let Ok(Some(frame)) = tr.try_recv() {
-                        let outcome = applier.handle(&frame);
-                        let ack = encode_response(&outcome, applier.last_epoch());
-                        let _ = tr.send(&ack);
-                    }
-                }),
-            );
+            prins_repl::serve_simulated(net, b, ReplicaApplier::new(Arc::clone(&device)));
             transports.push(Box::new(a));
             ctls.push(ctl);
             devices.push(device);
@@ -1547,6 +1361,52 @@ mod tests {
         assert_eq!(snap.counters["retransmits"], 3);
 
         engine.shutdown().unwrap();
+        assert!(verify_consistent(&*primary, &*replica_devs[0]).unwrap());
+    }
+
+    #[test]
+    fn a_late_ack_never_answers_the_next_frame() {
+        use prins_net::Dir;
+        // Write A's answer is delayed past the 50 ms ack timeout: the
+        // lane books A as failed and opens a new epoch, and A's answer
+        // then waits on the link. Write B is damaged in flight. A's late
+        // ACK carries the old epoch and is dropped, so B's corrupt NAK
+        // is matched to B and B is resent. Were A's ACK taken as B's
+        // answer, B's corrupt NAK would resend the frame after B — a
+        // parity the replica would then apply twice.
+        let net = SimNet::new();
+        let delay = Duration::from_micros(100);
+        let (transports, ctls, replica_devs) = sim_replicas(&net, 1, 8, delay);
+        let primary = Arc::new(MemDevice::new(BlockSize::kb4(), 8));
+        let registry = prins_obs::Registry::new();
+        let mut builder = EngineBuilder::new(Arc::clone(&primary) as Arc<dyn BlockDevice>)
+            .manual_stepping(true)
+            .clock(net.clock())
+            .observe(Arc::clone(&registry))
+            .ack_timeout(Duration::from_millis(50));
+        for transport in transports {
+            builder = builder.replica(transport);
+        }
+        let engine = builder.build();
+        let write = |lba: u64| {
+            let mut block = engine.read_block_vec(Lba(lba)).unwrap();
+            block[..8].copy_from_slice(&(lba + 1).to_le_bytes());
+            engine.write_block(Lba(lba), &block).unwrap();
+        };
+
+        ctls[0].set_delay(Dir::BtoA, Duration::from_millis(80), Duration::ZERO);
+        write(0);
+        engine.step();
+        net.run_until_idle();
+        ctls[0].set_delay(Dir::BtoA, delay, Duration::ZERO);
+        ctls[0].corrupt_next(Dir::AtoB, 1);
+        for lba in 1..4 {
+            write(lba);
+        }
+        assert!(engine.flush().is_err(), "the flush reports A's timeout");
+        assert_eq!(engine.lane_stats()[0].acked_writes, 3);
+        assert_eq!(registry.snapshot().counters["retransmits"], 1);
+        let _ = engine.shutdown();
         assert!(verify_consistent(&*primary, &*replica_devs[0]).unwrap());
     }
 

@@ -17,10 +17,11 @@
 //! the block — for PRINS via the backward parity computation
 //! `A_new = P' ⊕ A_old` against the replica's own copy.
 //!
-//! On the wire, every frame travels sealed ([`seal_frame_into`]) and is
-//! answered by exactly one response: the replica builds it with
-//! [`encode_response`] (the loop is [`run_replica`]), and the primary
-//! matches it to the frame it answers with [`classify_response`].
+//! On the wire, every frame travels sealed and is answered by exactly
+//! one response: the replica builds it with [`encode_response`] (the
+//! loop is [`run_replica`]). The primary's end of each connection is a
+//! [`ReplicaLink`], which seals every frame under its epoch and matches
+//! each answer to the frame it answers.
 //!
 //! # Example
 //!
@@ -49,6 +50,7 @@
 
 mod apply;
 mod error;
+mod link;
 mod mode;
 mod payload;
 mod range;
@@ -58,10 +60,11 @@ mod strategy;
 
 pub use apply::{Applied, ReplicaApplier};
 pub use error::ReplError;
+pub use link::{Collected, ReplicaLink};
 pub use mode::{AckPolicy, ReplicationMode};
 pub use payload::{BatchFrame, Payload, PayloadBody, BATCH_TAG, MAX_WIRE_LEN, STRIP_DELTA_TAG};
 pub use range::SeqRange;
-pub use replica::{run_replica, run_replica_applier, verify_consistent};
+pub use replica::{run_replica, run_replica_applier, serve_simulated, verify_consistent};
 pub use seal::{
     classify_response, decode_digest_request, decode_read_request, decode_strip_request,
     encode_ack, encode_digest_request, encode_read_request, encode_response, encode_strip_request,

@@ -1,7 +1,7 @@
 //! The replica node's serving loop.
 
 use prins_block::BlockDevice;
-use prins_net::Transport;
+use prins_net::{SimNet, SimTransport, Transport};
 
 use crate::{encode_response, ReplError, ReplicaApplier};
 
@@ -56,6 +56,31 @@ where
             Err(e) => return Err(e),
         }
     }
+}
+
+/// [`run_replica_applier`] on a simulated link: installs the replica
+/// actor on `endpoint`, so every frame [`SimNet`] delivers goes through
+/// `applier` and is answered with [`encode_response`]. The applier
+/// lives across deliveries — it keeps its last-seen epoch and per-LBA
+/// checksum table, or every answer would regress to epoch 0 and
+/// verify-on-apply would never see a stale base. Strict mode: a bit
+/// flip on the seal tag itself must not let a damaged frame bypass
+/// verification.
+pub fn serve_simulated<D>(net: &SimNet, endpoint: SimTransport, applier: ReplicaApplier<D>)
+where
+    D: BlockDevice + Send + 'static,
+{
+    let mut applier = applier.require_sealed(true);
+    let tr = endpoint.clone();
+    net.set_actor(
+        &endpoint,
+        Box::new(move || {
+            while let Ok(Some(frame)) = tr.try_recv() {
+                let outcome = applier.handle(&frame);
+                let _ = tr.send(&encode_response(&outcome, applier.last_epoch()));
+            }
+        }),
+    );
 }
 
 /// Compares two devices block by block.

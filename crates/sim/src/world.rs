@@ -25,7 +25,7 @@ use prins_net::{SimLinkCtl, SimNet, SimTransport, Transport};
 use prins_obs::{EventKind, Registry, TraceConfig, TraceSink};
 use prins_parity::ErasureCodec;
 use prins_repl::{
-    encode_response, is_sealed, open_frame, AckPolicy, BatchFrame, Payload, ReplicaApplier,
+    is_sealed, open_frame, serve_simulated, AckPolicy, BatchFrame, Payload, ReplicaApplier,
 };
 
 /// FNV-1a over a block image — the oracle's content fingerprint.
@@ -66,41 +66,51 @@ impl History {
     }
 }
 
-/// Builds one replica behind a fresh [`SimNet`] link: a zeroed device
-/// and an actor that applies every delivered frame and acknowledges it.
-fn spawn_replica(
-    net: &SimNet,
-    idx: usize,
-    block_size: BlockSize,
-    blocks: u64,
-    delay: Duration,
-) -> (SimTransport, SimLinkCtl, Arc<MemDevice>, usize) {
-    let (a, b, ctl) = net.add_link(&format!("replica{idx}"), delay);
-    let device = Arc::new(MemDevice::new(block_size, blocks));
-    let replica_ep = b.endpoint_index();
-    serve(net, b, ReplicaApplier::new(Arc::clone(&device)));
-    (a, ctl, device, replica_ep)
+/// One group of replicas, each a zeroed device behind a fresh
+/// [`SimNet`] link whose actor applies and answers every delivered
+/// frame.
+struct Replicas {
+    ctls: Vec<SimLinkCtl>,
+    /// The primary's ends of the links.
+    ends: Vec<SimTransport>,
+    devs: Vec<Arc<MemDevice>>,
 }
 
-/// Installs the replica actor on `endpoint`: every delivered frame goes
-/// through `applier` and is answered with [`encode_response`]. The
-/// applier is moved into the actor and lives across deliveries — it
-/// must keep its last-seen epoch and per-LBA checksum table, or every
-/// ack would regress to epoch 0 and verify-on-apply would never see a
-/// stale base. Strict mode: a bit flip on the seal tag itself must not
-/// let a damaged frame bypass verification.
-fn serve(net: &SimNet, endpoint: SimTransport, applier: ReplicaApplier<Arc<MemDevice>>) {
-    let mut applier = applier.require_sealed(true);
-    let tr = endpoint.clone();
-    net.set_actor(
-        &endpoint,
-        Box::new(move || {
-            while let Ok(Some(frame)) = tr.try_recv() {
-                let outcome = applier.handle(&frame);
-                let _ = tr.send(&encode_response(&outcome, applier.last_epoch()));
-            }
-        }),
-    );
+impl Replicas {
+    /// Spawns replicas `first..first + count`, recording each one's
+    /// replica-side endpoint in `eps`.
+    fn spawn(
+        net: &SimNet,
+        first: usize,
+        count: usize,
+        block_size: BlockSize,
+        blocks: u64,
+        delay: Duration,
+        eps: &mut Vec<usize>,
+    ) -> Self {
+        let mut group = Self {
+            ctls: Vec::new(),
+            ends: Vec::new(),
+            devs: Vec::new(),
+        };
+        for idx in first..first + count {
+            let (a, b, ctl) = net.add_link(&format!("replica{idx}"), delay);
+            let device = Arc::new(MemDevice::new(block_size, blocks));
+            eps.push(b.endpoint_index());
+            serve_simulated(net, b, ReplicaApplier::new(Arc::clone(&device)));
+            group.ctls.push(ctl);
+            group.ends.push(a);
+            group.devs.push(device);
+        }
+        group
+    }
+
+    fn transports(&self) -> Vec<Box<dyn Transport>> {
+        self.ends
+            .iter()
+            .map(|end| Box::new(end.clone()) as Box<dyn Transport>)
+            .collect()
+    }
 }
 
 /// Extracts the LBAs a wire frame writes to (batch frames recurse).
@@ -211,6 +221,147 @@ fn check_identity(
     Ok(())
 }
 
+/// The deterministic sparse block every world's `write_tag` writes for
+/// `(lba, tag)`: a few header bytes over zeros, so PRINS parities stay
+/// small.
+fn tag_block(lba: u64, tag: u8, block_size: usize) -> Vec<u8> {
+    let mut data = vec![0u8; block_size];
+    data[..8].copy_from_slice(&lba.to_le_bytes());
+    data[8] = tag;
+    data[9] = tag.wrapping_mul(31).wrapping_add(7);
+    data
+}
+
+impl History {
+    /// Records a cluster write's content unless the primary refused it
+    /// (on quorum loss the primary applied it).
+    fn record_write(&mut self, lba: u64, data: &[u8], res: &Result<WriteOutcome, ClusterError>) {
+        if matches!(res, Ok(_) | Err(ClusterError::QuorumLost { .. })) {
+            self.record(lba, content_hash(data));
+        }
+    }
+
+    /// The read oracle: a read returns `want`, the serving group's
+    /// *current* primary block, and a state the primary once had.
+    fn check_read(
+        &self,
+        lba: u64,
+        out: &ReadOutcome,
+        want: &[u8],
+        who: &str,
+    ) -> Result<(), String> {
+        if out.data != want {
+            return Err(format!(
+                "offloaded read of lba {lba} ({who}source {:?}) returned stale content \
+                 (freshness oracle violated)",
+                out.source
+            ));
+        }
+        if !self.contains(lba, content_hash(&out.data)) {
+            return Err(format!(
+                "read of lba {lba} ({who}source {:?}) returned a state the primary never had",
+                out.source
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// Clears scheduled faults on `ctls` and restores severed links.
+fn heal<'a>(ctls: impl IntoIterator<Item = &'a SimLinkCtl>) {
+    for ctl in ctls {
+        ctl.clear_faults();
+        if !ctl.is_up() {
+            ctl.restore();
+        }
+    }
+}
+
+/// Drains `cluster`'s in-flight work and resyncs every non-online
+/// replica with `strategy` until it is online (bounded retries).
+/// `who` prefixes the diagnostic ("" or "group 3 ").
+fn quiesce_group(
+    cluster: &mut ClusterGroup<MemDevice>,
+    strategy: ResyncStrategy,
+    who: &str,
+) -> Result<(), String> {
+    cluster.drain();
+    for idx in 0..cluster.replica_count() {
+        let mut attempts = 0;
+        let mut last_err = String::new();
+        while cluster.state(idx) != ReplicaState::Online {
+            attempts += 1;
+            if attempts > 8 {
+                return Err(format!(
+                    "{who}replica {idx} stuck {:?} after {attempts} rejoin attempts \
+                     (last error: {last_err})",
+                    cluster.state(idx)
+                ));
+            }
+            if matches!(
+                cluster.state(idx),
+                ReplicaState::Offline | ReplicaState::Lagging
+            ) {
+                if let Err(e) = cluster.rejoin(idx, strategy) {
+                    last_err = e.to_string();
+                }
+            }
+            if cluster.state(idx) == ReplicaState::Resyncing {
+                if let Err(e) = cluster.resync_to_completion(idx, 4) {
+                    last_err = e.to_string();
+                }
+            }
+        }
+    }
+    cluster.drain();
+    Ok(())
+}
+
+/// Post-quiescence check of one group: every replica online with an
+/// empty dirty map and bit-identical to the group's primary.
+fn check_group_clean(
+    cluster: &ClusterGroup<MemDevice>,
+    blocks: u64,
+    replica_devs: &[Arc<MemDevice>],
+    who: &str,
+) -> Result<(), String> {
+    for idx in 0..cluster.replica_count() {
+        let status = cluster.status(idx);
+        if status.state != ReplicaState::Online {
+            return Err(format!("{who}replica {idx} not online: {:?}", status.state));
+        }
+        if status.dirty_blocks != 0 {
+            return Err(format!(
+                "{who}replica {idx} still dirty at quiescence: {} blocks",
+                status.dirty_blocks
+            ));
+        }
+    }
+    check_identity(cluster.device(), blocks, replica_devs).map_err(|e| format!("{who}{e}"))
+}
+
+/// Byte conservation of one group: what the cluster booked as sent
+/// (foreground + resync + scrub probes + read requests) must equal
+/// what actually hit each replica's wire.
+fn check_group_conservation(
+    cluster: &ClusterGroup<MemDevice>,
+    primary_ends: &[SimTransport],
+    who: &str,
+) -> Result<(), String> {
+    for (idx, end) in primary_ends.iter().enumerate() {
+        let status = cluster.status(idx);
+        let sent = end.meter().payload_bytes_sent();
+        let booked =
+            status.foreground_bytes + status.resync_bytes + status.scrub_bytes + status.read_bytes;
+        if sent != booked {
+            return Err(format!(
+                "{who}replica {idx} byte accounting: wire saw {sent}, cluster booked {booked}"
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Checks the recorded `state-change` event stream forms a legal
 /// lifecycle walk per replica: each transition starts where the
 /// previous one ended (every replica boots `online`), and every hop is
@@ -259,9 +410,7 @@ pub struct ClusterWorld {
     cluster: ClusterGroup<MemDevice>,
     registry: Arc<Registry>,
     trace: Arc<TraceSink>,
-    ctls: Vec<SimLinkCtl>,
-    primary_ends: Vec<SimTransport>,
-    replica_devs: Vec<Arc<MemDevice>>,
+    replicas: Replicas,
     replica_eps: Vec<usize>,
     history: History,
     blocks: u64,
@@ -274,20 +423,11 @@ impl ClusterWorld {
     pub fn new(blocks: u64, replicas: usize, config: ClusterConfig, delay: Duration) -> Self {
         let net = SimNet::new();
         let block_size = BlockSize::kb4();
-        let mut transports: Vec<Box<dyn Transport>> = Vec::new();
-        let mut ctls = Vec::new();
-        let mut primary_ends = Vec::new();
-        let mut replica_devs = Vec::new();
         let mut replica_eps = Vec::new();
-        for idx in 0..replicas {
-            let (a, ctl, dev, ep) = spawn_replica(&net, idx, block_size, blocks, delay);
-            primary_ends.push(a.clone());
-            transports.push(Box::new(a));
-            ctls.push(ctl);
-            replica_devs.push(dev);
-            replica_eps.push(ep);
-        }
-        let mut cluster = ClusterGroup::new(MemDevice::new(block_size, blocks), config, transports);
+        let eps = &mut replica_eps;
+        let replicas = Replicas::spawn(&net, 0, replicas, block_size, blocks, delay, eps);
+        let device = MemDevice::new(block_size, blocks);
+        let mut cluster = ClusterGroup::new(device, config, replicas.transports());
         let registry = Registry::new();
         cluster.attach_observer(Arc::clone(&registry), net.clock());
         let trace = Arc::new(TraceSink::new(TraceConfig::default()));
@@ -297,9 +437,7 @@ impl ClusterWorld {
             cluster,
             registry,
             trace,
-            ctls,
-            primary_ends,
-            replica_devs,
+            replicas,
             replica_eps,
             history: History::seed(blocks, block_size.bytes()),
             blocks,
@@ -326,7 +464,7 @@ impl ClusterWorld {
 
     /// Fault controls for replica `idx`'s link.
     pub fn ctl(&self, idx: usize) -> &SimLinkCtl {
-        &self.ctls[idx]
+        &self.replicas.ctls[idx]
     }
 
     /// The cluster under test.
@@ -341,7 +479,7 @@ impl ClusterWorld {
 
     /// Replica `idx`'s backing device.
     pub fn replica_dev(&self, idx: usize) -> &Arc<MemDevice> {
-        &self.replica_devs[idx]
+        &self.replicas.devs[idx]
     }
 
     /// Number of blocks per device.
@@ -353,23 +491,14 @@ impl ClusterWorld {
     /// the oracle (also on quorum loss — the primary applied it).
     pub fn write(&mut self, lba: u64, data: &[u8]) -> Result<WriteOutcome, ClusterError> {
         let res = self.cluster.write(Lba(lba), data);
-        match &res {
-            Ok(_) | Err(ClusterError::QuorumLost { .. }) => {
-                self.history.record(lba, content_hash(data));
-            }
-            Err(_) => {}
-        }
+        self.history.record_write(lba, data, &res);
         res
     }
 
     /// Writes a deterministic sparse block derived from `(lba, tag)` —
     /// a few header bytes over zeros, so PRINS parities stay small.
     pub fn write_tag(&mut self, lba: u64, tag: u8) -> Result<WriteOutcome, ClusterError> {
-        let mut data = vec![0u8; self.block_size];
-        data[..8].copy_from_slice(&lba.to_le_bytes());
-        data[8] = tag;
-        data[9] = tag.wrapping_mul(31).wrapping_add(7);
-        self.write(lba, &data)
+        self.write(lba, &tag_block(lba, tag, self.block_size))
     }
 
     /// Reads through the cluster (offloading to a replica when the
@@ -392,19 +521,7 @@ impl ClusterWorld {
             .device()
             .read_block_vec(Lba(lba))
             .map_err(|e| format!("primary read lba {lba}: {e}"))?;
-        if out.data != want {
-            return Err(format!(
-                "offloaded read of lba {lba} from {:?} returned stale content \
-                 (freshness oracle violated)",
-                out.source
-            ));
-        }
-        if !self.history.contains(lba, content_hash(&out.data)) {
-            return Err(format!(
-                "read of lba {lba} from {:?} returned a state the primary never had",
-                out.source
-            ));
-        }
+        self.history.check_read(lba, &out, &want, "")?;
         Ok(out)
     }
 
@@ -416,42 +533,9 @@ impl ClusterWorld {
     ///
     /// If a replica cannot be brought back online.
     pub fn quiesce(&mut self, strategy: ResyncStrategy) -> Result<(), String> {
-        for ctl in &self.ctls {
-            ctl.clear_faults();
-            if !ctl.is_up() {
-                ctl.restore();
-            }
-        }
+        heal(&self.replicas.ctls);
         self.net.run_until_idle();
-        self.cluster.drain();
-        for idx in 0..self.cluster.replica_count() {
-            let mut attempts = 0;
-            let mut last_err = String::new();
-            while self.cluster.state(idx) != ReplicaState::Online {
-                attempts += 1;
-                if attempts > 8 {
-                    return Err(format!(
-                        "replica {idx} stuck {:?} after {attempts} rejoin attempts \
-                         (last error: {last_err})",
-                        self.cluster.state(idx)
-                    ));
-                }
-                if matches!(
-                    self.cluster.state(idx),
-                    ReplicaState::Offline | ReplicaState::Lagging
-                ) {
-                    if let Err(e) = self.cluster.rejoin(idx, strategy) {
-                        last_err = e.to_string();
-                    }
-                }
-                if self.cluster.state(idx) == ReplicaState::Resyncing {
-                    if let Err(e) = self.cluster.resync_to_completion(idx, 4) {
-                        last_err = e.to_string();
-                    }
-                }
-            }
-        }
-        self.cluster.drain();
+        quiesce_group(&mut self.cluster, strategy, "")?;
         self.net.run_until_idle();
         Ok(())
     }
@@ -459,7 +543,7 @@ impl ClusterWorld {
     /// Cheap mid-run invariant: every replica block is a historical
     /// primary state (corruption shows up here before quiescence).
     pub fn check_historical(&self) -> Result<(), String> {
-        check_historical(&self.history, self.blocks, &self.replica_devs)
+        check_historical(&self.history, self.blocks, &self.replicas.devs)
     }
 
     /// The full post-quiescence invariant set: every replica online
@@ -467,19 +551,7 @@ impl ClusterWorld {
     /// only historical states, with per-LBA delivery order intact and
     /// the cluster's byte accounting equal to the wire meters.
     pub fn check_invariants(&self) -> Result<(), String> {
-        for idx in 0..self.cluster.replica_count() {
-            let status = self.cluster.status(idx);
-            if status.state != ReplicaState::Online {
-                return Err(format!("replica {idx} not online: {:?}", status.state));
-            }
-            if status.dirty_blocks != 0 {
-                return Err(format!(
-                    "replica {idx} still dirty at quiescence: {} blocks",
-                    status.dirty_blocks
-                ));
-            }
-        }
-        check_identity(self.cluster.device(), self.blocks, &self.replica_devs)?;
+        check_group_clean(&self.cluster, self.blocks, &self.replicas.devs, "")?;
         self.check_historical()?;
         check_delivery_order(&self.net, &self.replica_eps)?;
         check_lifecycle_chain(&self.registry, self.cluster.replica_count())?;
@@ -506,20 +578,7 @@ impl ClusterWorld {
     /// resync + scrub probes + read requests) must equal what actually
     /// hit each wire.
     pub fn check_conservation(&self) -> Result<(), String> {
-        for idx in 0..self.cluster.replica_count() {
-            let status = self.cluster.status(idx);
-            let sent = self.primary_ends[idx].meter().payload_bytes_sent();
-            let booked = status.foreground_bytes
-                + status.resync_bytes
-                + status.scrub_bytes
-                + status.read_bytes;
-            if sent != booked {
-                return Err(format!(
-                    "replica {idx} byte accounting: wire saw {sent}, cluster booked {booked}"
-                ));
-            }
-        }
-        Ok(())
+        check_group_conservation(&self.cluster, &self.replicas.ends, "")
     }
 }
 
@@ -527,7 +586,7 @@ impl std::fmt::Debug for ClusterWorld {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ClusterWorld")
             .field("blocks", &self.blocks)
-            .field("replicas", &self.replica_devs.len())
+            .field("replicas", &self.replicas.devs.len())
             .field("net", &self.net)
             .finish()
     }
@@ -545,10 +604,8 @@ pub struct ShardWorld {
     sharded: ShardedCluster<MemDevice>,
     registry: Arc<Registry>,
     trace: Arc<TraceSink>,
-    /// `ctls[g][r]` is group g, replica r's link.
-    ctls: Vec<Vec<SimLinkCtl>>,
-    primary_ends: Vec<Vec<SimTransport>>,
-    replica_devs: Vec<Vec<Arc<MemDevice>>>,
+    /// `groups[g]` holds group g's replicas.
+    groups: Vec<Replicas>,
     replica_eps: Vec<usize>,
     history: History,
     blocks: u64,
@@ -583,32 +640,18 @@ impl ShardWorld {
         let net = SimNet::new();
         let block_size = BlockSize::kb4();
         let registry = Registry::new();
-        let mut ctls = Vec::new();
-        let mut primary_ends = Vec::new();
-        let mut replica_devs = Vec::new();
         let mut replica_eps = Vec::new();
+        let mut replica_groups = Vec::new();
         let mut cluster_groups = Vec::new();
         for g in 0..groups {
-            let mut transports: Vec<Box<dyn Transport>> = Vec::new();
-            let mut group_ctls = Vec::new();
-            let mut group_ends = Vec::new();
-            let mut group_devs = Vec::new();
-            for r in 0..replicas_per_group {
-                let (a, ctl, dev, ep) =
-                    spawn_replica(&net, g * replicas_per_group + r, block_size, blocks, delay);
-                group_ends.push(a.clone());
-                transports.push(Box::new(a));
-                group_ctls.push(ctl);
-                group_devs.push(dev);
-                replica_eps.push(ep);
-            }
-            let mut group =
-                ClusterGroup::new(MemDevice::new(block_size, blocks), config, transports);
+            let first = g * replicas_per_group;
+            let (count, eps) = (replicas_per_group, &mut replica_eps);
+            let replicas = Replicas::spawn(&net, first, count, block_size, blocks, delay, eps);
+            let device = MemDevice::new(block_size, blocks);
+            let mut group = ClusterGroup::new(device, config, replicas.transports());
             group.attach_observer(Arc::clone(&registry), net.clock());
             cluster_groups.push(group);
-            ctls.push(group_ctls);
-            primary_ends.push(group_ends);
-            replica_devs.push(group_devs);
+            replica_groups.push(replicas);
         }
         let placement = RendezvousPlacement::new(blocks, groups).with_slot_blocks(slot_blocks);
         let mut sharded = ShardedCluster::new(placement, cluster_groups);
@@ -624,9 +667,7 @@ impl ShardWorld {
             sharded,
             registry,
             trace,
-            ctls,
-            primary_ends,
-            replica_devs,
+            groups: replica_groups,
             replica_eps,
             history: History::seed(blocks, block_size.bytes()),
             blocks,
@@ -652,7 +693,7 @@ impl ShardWorld {
 
     /// Fault controls for group `g`, replica `r`'s link.
     pub fn ctl(&self, g: usize, r: usize) -> &SimLinkCtl {
-        &self.ctls[g][r]
+        &self.groups[g].ctls[r]
     }
 
     /// The sharded cluster under test.
@@ -674,22 +715,13 @@ impl ShardWorld {
     /// content in the volume-wide oracle (also on quorum loss).
     pub fn write(&mut self, lba: u64, data: &[u8]) -> Result<WriteOutcome, ClusterError> {
         let res = self.sharded.write(Lba(lba), data);
-        match &res {
-            Ok(_) | Err(ClusterError::QuorumLost { .. }) => {
-                self.history.record(lba, content_hash(data));
-            }
-            Err(_) => {}
-        }
+        self.history.record_write(lba, data, &res);
         res
     }
 
     /// Writes a deterministic sparse block derived from `(lba, tag)`.
     pub fn write_tag(&mut self, lba: u64, tag: u8) -> Result<WriteOutcome, ClusterError> {
-        let mut data = vec![0u8; self.block_size];
-        data[..8].copy_from_slice(&lba.to_le_bytes());
-        data[8] = tag;
-        data[9] = tag.wrapping_mul(31).wrapping_add(7);
-        self.write(lba, &data)
+        self.write(lba, &tag_block(lba, tag, self.block_size))
     }
 
     /// Reads through the sharded cluster and checks the read oracle:
@@ -711,18 +743,8 @@ impl ShardWorld {
             .device()
             .read_block_vec(Lba(lba))
             .map_err(|e| format!("group {owner} primary read lba {lba}: {e}"))?;
-        if out.data != want {
-            return Err(format!(
-                "offloaded read of lba {lba} (group {owner}, source {:?}) returned \
-                 stale content (freshness oracle violated)",
-                out.source
-            ));
-        }
-        if !self.history.contains(lba, content_hash(&out.data)) {
-            return Err(format!(
-                "read of lba {lba} returned a state the volume never had"
-            ));
-        }
+        let who = format!("group {owner}, ");
+        self.history.check_read(lba, &out, &want, &who)?;
         Ok(out)
     }
 
@@ -733,46 +755,10 @@ impl ShardWorld {
     ///
     /// If a replica cannot be brought back online.
     pub fn quiesce(&mut self, strategy: ResyncStrategy) -> Result<(), String> {
-        for group_ctls in &self.ctls {
-            for ctl in group_ctls {
-                ctl.clear_faults();
-                if !ctl.is_up() {
-                    ctl.restore();
-                }
-            }
-        }
+        heal(self.groups.iter().flat_map(|group| &group.ctls));
         self.net.run_until_idle();
         for g in 0..self.sharded.group_count() {
-            let cluster = self.sharded.group_mut(g);
-            cluster.drain();
-            for idx in 0..cluster.replica_count() {
-                let mut attempts = 0;
-                let mut last_err = String::new();
-                while cluster.state(idx) != ReplicaState::Online {
-                    attempts += 1;
-                    if attempts > 8 {
-                        return Err(format!(
-                            "group {g} replica {idx} stuck {:?} after {attempts} rejoin \
-                             attempts (last error: {last_err})",
-                            cluster.state(idx)
-                        ));
-                    }
-                    if matches!(
-                        cluster.state(idx),
-                        ReplicaState::Offline | ReplicaState::Lagging
-                    ) {
-                        if let Err(e) = cluster.rejoin(idx, strategy) {
-                            last_err = e.to_string();
-                        }
-                    }
-                    if cluster.state(idx) == ReplicaState::Resyncing {
-                        if let Err(e) = cluster.resync_to_completion(idx, 4) {
-                            last_err = e.to_string();
-                        }
-                    }
-                }
-            }
-            self.sharded.group_mut(g).drain();
+            quiesce_group(self.sharded.group_mut(g), strategy, &format!("group {g} "))?;
         }
         self.net.run_until_idle();
         Ok(())
@@ -781,8 +767,8 @@ impl ShardWorld {
     /// Cheap mid-run invariant: every replica block of every group is a
     /// state the volume actually had.
     pub fn check_historical(&self) -> Result<(), String> {
-        for (g, devs) in self.replica_devs.iter().enumerate() {
-            check_historical(&self.history, self.blocks, devs)
+        for (g, group) in self.groups.iter().enumerate() {
+            check_historical(&self.history, self.blocks, &group.devs)
                 .map_err(|e| format!("group {g}: {e}"))?;
         }
         Ok(())
@@ -798,24 +784,13 @@ impl ShardWorld {
     /// groups, so it is not applicable here.)
     pub fn check_invariants(&self) -> Result<(), String> {
         for g in 0..self.sharded.group_count() {
-            let cluster = self.sharded.group(g);
-            for idx in 0..cluster.replica_count() {
-                let status = cluster.status(idx);
-                if status.state != ReplicaState::Online {
-                    return Err(format!(
-                        "group {g} replica {idx} not online: {:?}",
-                        status.state
-                    ));
-                }
-                if status.dirty_blocks != 0 {
-                    return Err(format!(
-                        "group {g} replica {idx} still dirty at quiescence: {} blocks",
-                        status.dirty_blocks
-                    ));
-                }
-            }
-            check_identity(cluster.device(), self.blocks, &self.replica_devs[g])
-                .map_err(|e| format!("group {g}: {e}"))?;
+            let who = format!("group {g} ");
+            check_group_clean(
+                self.sharded.group(g),
+                self.blocks,
+                &self.groups[g].devs,
+                &who,
+            )?;
         }
         self.check_historical()?;
         check_delivery_order(&self.net, &self.replica_eps)?;
@@ -825,22 +800,9 @@ impl ShardWorld {
     /// Byte conservation per group and replica: booked bytes
     /// (foreground + resync + scrub + reads) equal the wire meter.
     pub fn check_conservation(&self) -> Result<(), String> {
-        for g in 0..self.sharded.group_count() {
-            let cluster = self.sharded.group(g);
-            for idx in 0..cluster.replica_count() {
-                let status = cluster.status(idx);
-                let sent = self.primary_ends[g][idx].meter().payload_bytes_sent();
-                let booked = status.foreground_bytes
-                    + status.resync_bytes
-                    + status.scrub_bytes
-                    + status.read_bytes;
-                if sent != booked {
-                    return Err(format!(
-                        "group {g} replica {idx} byte accounting: wire saw {sent}, \
-                         cluster booked {booked}"
-                    ));
-                }
-            }
+        for (g, group) in self.groups.iter().enumerate() {
+            let who = format!("group {g} ");
+            check_group_conservation(self.sharded.group(g), &group.ends, &who)?;
         }
         Ok(())
     }
@@ -850,7 +812,7 @@ impl std::fmt::Debug for ShardWorld {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardWorld")
             .field("blocks", &self.blocks)
-            .field("groups", &self.replica_devs.len())
+            .field("groups", &self.groups.len())
             .field("net", &self.net)
             .finish()
     }
@@ -905,9 +867,7 @@ pub struct EngineWorld {
     registry: Arc<Registry>,
     trace: Arc<TraceSink>,
     primary: Arc<MemDevice>,
-    ctls: Vec<SimLinkCtl>,
-    primary_ends: Vec<SimTransport>,
-    replica_devs: Vec<Arc<MemDevice>>,
+    replicas: Replicas,
     replica_eps: Vec<usize>,
     history: History,
     blocks: u64,
@@ -934,17 +894,11 @@ impl EngineWorld {
         if cfg.adaptive {
             builder = builder.adaptive(prins_policy::PolicyConfig::default());
         }
-        let mut ctls = Vec::new();
-        let mut primary_ends = Vec::new();
-        let mut replica_devs = Vec::new();
         let mut replica_eps = Vec::new();
-        for idx in 0..cfg.replicas {
-            let (a, ctl, dev, ep) = spawn_replica(&net, idx, block_size, cfg.blocks, cfg.delay);
-            primary_ends.push(a.clone());
-            builder = builder.replica(Box::new(a));
-            ctls.push(ctl);
-            replica_devs.push(dev);
-            replica_eps.push(ep);
+        let (count, eps) = (cfg.replicas, &mut replica_eps);
+        let replicas = Replicas::spawn(&net, 0, count, block_size, cfg.blocks, cfg.delay, eps);
+        for transport in replicas.transports() {
+            builder = builder.replica(transport);
         }
         let engine = builder.build();
         let trace = Arc::clone(engine.trace_sink().expect("flight recorder enabled above"));
@@ -954,9 +908,7 @@ impl EngineWorld {
             registry,
             trace,
             primary,
-            ctls,
-            primary_ends,
-            replica_devs,
+            replicas,
             replica_eps,
             history: History::seed(cfg.blocks, block_size.bytes()),
             blocks: cfg.blocks,
@@ -971,7 +923,7 @@ impl EngineWorld {
 
     /// Fault controls for replica `idx`'s link.
     pub fn ctl(&self, idx: usize) -> &SimLinkCtl {
-        &self.ctls[idx]
+        &self.replicas.ctls[idx]
     }
 
     /// The engine under test.
@@ -991,15 +943,7 @@ impl EngineWorld {
 
     /// Writes a deterministic sparse block derived from `(lba, tag)`.
     pub fn write_tag(&mut self, lba: u64, tag: u8) -> Result<(), String> {
-        let mut data = vec![0u8; self.block_size];
-        data[..8].copy_from_slice(&lba.to_le_bytes());
-        data[8] = tag;
-        data[9] = tag.wrapping_mul(31).wrapping_add(7);
-        self.engine
-            .write_block(Lba(lba), &data)
-            .map_err(|e| format!("write lba {lba}: {e}"))?;
-        self.history.record(lba, content_hash(&data));
-        Ok(())
+        self.write(lba, &tag_block(lba, tag, self.block_size))
     }
 
     /// Writes a dense block derived from `(lba, tag)`: every byte
@@ -1015,10 +959,14 @@ impl EngineWorld {
             state ^= state << 17;
             *b = (state >> 32) as u8;
         }
+        self.write(lba, &data)
+    }
+
+    fn write(&mut self, lba: u64, data: &[u8]) -> Result<(), String> {
         self.engine
-            .write_block(Lba(lba), &data)
+            .write_block(Lba(lba), data)
             .map_err(|e| format!("write lba {lba}: {e}"))?;
-        self.history.record(lba, content_hash(&data));
+        self.history.record(lba, content_hash(data));
         Ok(())
     }
 
@@ -1035,12 +983,12 @@ impl EngineWorld {
 
     /// Prefix-consistency: every replica block is a historical state.
     pub fn check_historical(&self) -> Result<(), String> {
-        check_historical(&self.history, self.blocks, &self.replica_devs)
+        check_historical(&self.history, self.blocks, &self.replicas.devs)
     }
 
     /// Bit-identity with the primary — call after a clean flush.
     pub fn check_identity(&self) -> Result<(), String> {
-        check_identity(&*self.primary, self.blocks, &self.replica_devs)
+        check_identity(&*self.primary, self.blocks, &self.replicas.devs)
     }
 
     /// Per-LBA ordering at two levels: the engine's own send logs
@@ -1113,7 +1061,8 @@ impl EngineWorld {
     pub fn check_conservation(&self) -> Result<(), String> {
         let booked = self.engine.stats().replicated_payload_bytes;
         let sent: u64 = self
-            .primary_ends
+            .replicas
+            .ends
             .iter()
             .map(|t| t.meter().payload_bytes_sent())
             .sum();
@@ -1130,7 +1079,7 @@ impl std::fmt::Debug for EngineWorld {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EngineWorld")
             .field("blocks", &self.blocks)
-            .field("replicas", &self.replica_devs.len())
+            .field("replicas", &self.replicas.devs.len())
             .field("net", &self.net)
             .finish()
     }
@@ -1151,7 +1100,7 @@ fn spawn_strip_node(
     let device = Arc::new(MemDevice::new(BlockSize::kb4(), stripes));
     let applier =
         ReplicaApplier::new(Arc::clone(&device)).with_codec(Box::new(ReedSolomon::k4m2()));
-    serve(net, b, applier);
+    serve_simulated(net, b, applier);
     (a, ctl, device)
 }
 
@@ -1262,10 +1211,7 @@ impl EcWorld {
     ///
     /// Propagates the group's write error.
     pub fn write_tag(&mut self, lba: u64, tag: u8) -> Result<EcWriteOutcome, ClusterError> {
-        let mut data = vec![0u8; self.block_size];
-        data[..8].copy_from_slice(&lba.to_le_bytes());
-        data[8] = tag;
-        data[9] = tag.wrapping_mul(31).wrapping_add(7);
+        let data = tag_block(lba, tag, self.block_size);
         let res = self.group.write(Lba(lba), &data);
         if res.is_ok() {
             self.history.record(lba, content_hash(&data));
