@@ -23,21 +23,34 @@ cargo clippy -p prins-ec -- -D warnings
 # Same standalone treatment for the hot-path buffer pool: every byte the
 # write path touches flows through prins-buf.
 cargo clippy -p prins-buf -- -D warnings
-# And for the observability crate: the tracing fast path (Span drop,
-# TraceSink::event) sits on every write, so its lints gate alone too.
+# And for the observability crate: the tracing fast path (Histogram
+# record, TraceSink::event) sits on every write, so its lints gate alone
+# too.
 cargo clippy -p prins-obs -- -D warnings
 # And for the policy engine: its classifier sits on the zero-copy
 # write path (region table, probe, decision logic), so it gates alone.
 cargo clippy -p prins-policy -- -D warnings
-# One-owner gate: prins_repl::ReplicaLink is the primary's only end of
-# a replica connection — it alone seals frames, receives answers and
-# matches them to frames by epoch. Production code of the engine and
-# the cluster (everything before a file's `#[cfg(test)]` module) must
-# go through it.
-if find crates/core/src crates/cluster/src -name '*.rs' \
-    -exec awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' {} \; \
-    | grep -E 'classify_response\(|seal_frame_into\(|seal_batch_frame_into\(|seal_begin\(|\.recv_timeout\('; then
+# One-owner gates over the production code of the engine and the
+# cluster (everything before a file's `#[cfg(test)]` module).
+#
+# prins_repl::ReplicaLink is the primary's only end of a replica
+# connection — it alone seals frames, receives answers and matches them
+# to frames by epoch, so nothing else may.
+#
+# Each metric lives in one place: the component's always-on registry.
+# A raw AtomicU64 would be a second, unregistered copy of a counter, and
+# an optional metrics hookup would split the component into an observed
+# and an unobserved variant.
+prod_lines() {
+    find crates/core/src crates/cluster/src -name '*.rs' \
+        -exec awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' {} \;
+}
+if prod_lines | grep -E 'classify_response\(|seal_frame_into\(|seal_batch_frame_into\(|seal_begin\(|\.recv_timeout\('; then
     echo "ci.sh: the lines above bypass prins_repl::ReplicaLink" >&2
+    exit 1
+fi
+if prod_lines | grep -E 'AtomicU64|Option<(PipeObs|ClusterObs|EcObs|ShardObs)>'; then
+    echo "ci.sh: the lines above keep a metric outside the component's registry" >&2
     exit 1
 fi
 cargo build --release

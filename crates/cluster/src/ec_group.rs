@@ -36,7 +36,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use prins_block::{BlockDevice, Lba};
-use prins_net::{Clock, Transport};
+use prins_net::{Clock, Transport, WallClock};
 use prins_obs::{Counter, Event, EventKind, Histogram, Registry, TraceSink, TraceStage};
 use prins_parity::{ErasureCodec, SparseCodec};
 use prins_repl::{encode_strip_request, Payload, ReplError, ReplicaLink, Response};
@@ -77,7 +77,8 @@ impl EcPlacement {
     }
 }
 
-/// Observability hookup for an [`EcGroup`].
+/// An [`EcGroup`]'s metrics: a private registry timed by the wall
+/// clock until [`EcGroup::attach_observer`] chooses others.
 struct EcObs {
     registry: Arc<Registry>,
     clock: Arc<dyn Clock>,
@@ -186,8 +187,7 @@ pub struct EcGroup<D, C> {
     /// Stripes written while any node was down — the strips a rebuild
     /// must not trust on the replacement.
     dirty_stripes: BTreeSet<u64>,
-    rebuild_bytes: u64,
-    obs: Option<EcObs>,
+    obs: EcObs,
     tracer: Tracer,
     /// Reused buffer the outgoing frames are sealed into.
     frame: Vec<u8>,
@@ -230,18 +230,18 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
             stripes: blocks / k as u64,
             block_size,
             dirty_stripes: BTreeSet::new(),
-            rebuild_bytes: 0,
-            obs: None,
+            obs: EcObs::new(Registry::new(), Arc::new(WallClock::new())),
             tracer: Tracer::default(),
             frame: Vec::new(),
         }
     }
 
-    /// Attaches a metrics registry: strip writes, parity-update and
-    /// rebuild wire bytes, decode failures, a rebuild-duration
-    /// histogram, and `ec-rebuild` events.
+    /// Chooses the metrics registry and clock the group records into
+    /// from here on (default: a private registry and the wall clock):
+    /// strip writes, parity-update and rebuild wire bytes, decode
+    /// failures, a rebuild-duration histogram, and `ec-rebuild` events.
     pub fn attach_observer(&mut self, registry: Arc<Registry>, clock: Arc<dyn Clock>) {
-        self.obs = Some(EcObs::new(registry, clock));
+        self.obs = EcObs::new(registry, clock);
     }
 
     /// Attaches a trace sink: every logical write mints a
@@ -285,9 +285,10 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
         self.stripes * self.placement.n() as u64 * self.block_size as u64
     }
 
-    /// Total wire bytes rebuilds have moved.
+    /// Total wire bytes rebuilds have moved (the `ec_rebuild_bytes`
+    /// counter).
     pub fn rebuild_bytes(&self) -> u64 {
-        self.rebuild_bytes
+        self.obs.rebuild_bytes.get()
     }
 
     /// Marks node `idx` down: writes stop flowing to its strips (the
@@ -397,9 +398,7 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
             };
             outcome.wire_bytes += sealed as u64;
             if role >= k {
-                if let Some(obs) = &self.obs {
-                    obs.parity_update_bytes.add(sealed as u64);
-                }
+                self.obs.parity_update_bytes.add(sealed as u64);
             }
             let stage = if role < k {
                 TraceStage::StripData
@@ -409,9 +408,7 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
             self.tracer.fan_out(tid, stage, node as u32, sealed);
             await_from.push(node);
         }
-        if let Some(obs) = &self.obs {
-            obs.strip_writes.add(await_from.len() as u64);
-        }
+        self.obs.strip_writes.add(await_from.len() as u64);
         for node in await_from {
             let acked = self.await_ack(node);
             let stage = if acked.is_ok() {
@@ -477,7 +474,7 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
     /// reconstruction errors).
     pub fn rebuild(&mut self, lost: usize) -> Result<EcRebuildReport, ClusterError> {
         self.check_idx(lost)?;
-        let started = self.obs.as_ref().map(|o| o.clock.now_nanos());
+        let started = self.obs.clock.now_nanos();
         let n = self.placement.n();
         let k = self.placement.k;
         let mut report = EcRebuildReport {
@@ -485,7 +482,9 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
             wire_bytes: 0,
             survivor_image_bytes: 0,
         };
-        self.nodes[lost].down = false;
+        // The replacement stays down until its last strip is acked: a
+        // rebuild that fails midway must not leave reads and writes
+        // trusting a half-empty node.
         self.nodes[lost].link.abandon();
         for stripe in 0..self.stripes {
             let lost_role = self.placement.role_of(stripe, lost);
@@ -508,18 +507,14 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
                 fetched += 1;
             }
             if fetched < k {
-                if let Some(obs) = &self.obs {
-                    obs.decode_failures.inc();
-                }
+                self.obs.decode_failures.inc();
                 return Err(ReplError::Malformed(format!(
                     "ec rebuild: only {fetched} of {k} survivor strips reachable"
                 ))
                 .into());
             }
             if let Err(e) = self.codec.reconstruct(&mut strips) {
-                if let Some(obs) = &self.obs {
-                    obs.decode_failures.inc();
-                }
+                self.obs.decode_failures.inc();
                 return Err(ReplError::Malformed(format!("ec reconstruct: {e}")).into());
             }
             let rebuilt = strips[lost_role]
@@ -539,28 +534,25 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
             self.await_ack(lost)?;
             report.stripes += 1;
         }
+        self.nodes[lost].down = false;
         // Dirty stripes also cover writes other (still-down) nodes
         // missed; only a fully-online group has none left to remember.
         if !self.nodes.iter().any(|n| n.down) {
             self.dirty_stripes.clear();
         }
-        self.rebuild_bytes += report.wire_bytes;
-        if let Some(obs) = &self.obs {
-            obs.rebuild_bytes.add(report.wire_bytes);
-            let now = obs.clock.now_nanos();
-            if let Some(t0) = started {
-                obs.rebuild_nanos.record(now.saturating_sub(t0));
-            }
-            obs.registry.events().record(
-                Event::new(
-                    now,
-                    EventKind::EcRebuild {
-                        stripes: report.stripes as u32,
-                    },
-                )
-                .replica(lost),
-            );
-        }
+        let obs = &self.obs;
+        obs.rebuild_bytes.add(report.wire_bytes);
+        let now = obs.clock.now_nanos();
+        obs.rebuild_nanos.record(now.saturating_sub(started));
+        obs.registry.events().record(
+            Event::new(
+                now,
+                EventKind::EcRebuild {
+                    stripes: report.stripes as u32,
+                },
+            )
+            .replica(lost),
+        );
         Ok(report)
     }
 
@@ -587,9 +579,7 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
         }
         if strips[col].is_none() {
             if let Err(e) = self.codec.reconstruct(&mut strips) {
-                if let Some(obs) = &self.obs {
-                    obs.decode_failures.inc();
-                }
+                self.obs.decode_failures.inc();
                 return Err(ReplError::Malformed(format!("ec decode: {e}")).into());
             }
         }
@@ -797,6 +787,29 @@ mod tests {
         assert_strips_encode_logical(&h);
         random_writes(&mut h, 121, 10);
         assert_strips_encode_logical(&h);
+        finish(h);
+    }
+
+    #[test]
+    fn a_failed_rebuild_leaves_the_replacement_down() {
+        let mut h = harness(4);
+        random_writes(&mut h, 16, 40);
+        h.group.mark_down(2).unwrap();
+        let (t, d, w) = spawn_node(h.group.stripes());
+        h.group.replace_node(2, t).unwrap();
+        h.devices[2] = d;
+        h.workers.push(w);
+
+        // Node 0's strip answer is late, so the rebuild fails at its
+        // first stripe, before node 2 holds anything.
+        h.node0_late
+            .store(true, std::sync::atomic::Ordering::SeqCst);
+        assert!(h.group.rebuild(2).is_err());
+        assert!(h.group.is_down(2), "a failed rebuild must not trust node 2");
+        // Reads reconstruct node 2's strip instead of reading its zeros.
+        let want = h.group.device().read_block_vec(Lba(2)).unwrap();
+        assert_ne!(want, vec![0u8; 4096]);
+        assert_eq!(h.group.decode_logical(Lba(2)).unwrap(), want);
         finish(h);
     }
 

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use prins_block::{crc32c, BlockDevice, Lba};
-use prins_net::{Clock, Transport};
+use prins_net::{Clock, Transport, WallClock};
 use prins_obs::{
     Counter, Event, EventKind, Histogram, Registry, TraceId, TraceSink, TraceStage, NO_LANE,
 };
@@ -20,9 +20,10 @@ use prins_trap::{TrapDevice, TrapLog};
 use crate::tracer::Tracer;
 use crate::{ClusterError, DirtyMap, ReplicaState};
 
-/// Observability hookup for a [`ClusterGroup`]: where lifecycle
-/// transitions, resync progress, and ack round-trips are recorded once
-/// [`ClusterGroup::attach_observer`] has been called.
+/// A [`ClusterGroup`]'s metrics: where lifecycle transitions, resync
+/// progress, and ack round-trips are recorded — into a private registry
+/// timed by the wall clock until [`ClusterGroup::attach_observer`]
+/// chooses others.
 struct ClusterObs {
     registry: Arc<Registry>,
     clock: Arc<dyn Clock>,
@@ -296,7 +297,7 @@ pub struct ClusterGroup<D> {
     replicator: Box<dyn Replicator>,
     replicas: Vec<Replica>,
     config: ClusterConfig,
-    obs: Option<ClusterObs>,
+    obs: ClusterObs,
     tracer: Tracer,
     /// Round-robin cursor for offloaded reads.
     next_read: usize,
@@ -324,7 +325,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
                 .map(|(idx, transport)| Replica::new(idx, transport))
                 .collect(),
             config,
-            obs: None,
+            obs: ClusterObs::new(Registry::new(), Arc::new(WallClock::new())),
             tracer: Tracer::default(),
             next_read: 0,
             image: Vec::new(),
@@ -333,21 +334,23 @@ impl<D: BlockDevice> ClusterGroup<D> {
         }
     }
 
-    /// Attaches a metrics registry: from here on the cluster records
-    /// lifecycle transitions as `state-change` events, resync progress
-    /// as `resync-batch` events plus per-replica
-    /// `replica{idx}_dirty_blocks` / `replica{idx}_resync_pending`
-    /// gauges, and acknowledgement round-trips in the
-    /// `cluster_ack_rtt_nanos` histogram. `clock` timestamps the
-    /// events — pass the transports' [`SimClock`](prins_net::SimClock)
-    /// for deterministic traces under simulation.
+    /// Chooses the metrics registry and clock the cluster records into
+    /// from here on (default: a private registry and the wall clock).
+    /// The cluster records lifecycle transitions as `state-change`
+    /// events, resync progress as `resync-batch` events plus
+    /// per-replica `replica{idx}_dirty_blocks` /
+    /// `replica{idx}_resync_pending` gauges, and acknowledgement
+    /// round-trips in the `cluster_ack_rtt_nanos` histogram. `clock`
+    /// times them — pass the transports'
+    /// [`SimClock`](prins_net::SimClock) for deterministic traces under
+    /// simulation.
     pub fn attach_observer(&mut self, registry: Arc<Registry>, clock: Arc<dyn Clock>) {
-        self.obs = Some(ClusterObs::new(registry, clock));
+        self.obs = ClusterObs::new(registry, clock);
     }
 
-    /// The attached metrics registry, if any.
-    pub fn registry(&self) -> Option<&Arc<Registry>> {
-        self.obs.as_ref().map(|o| &o.registry)
+    /// The metrics registry the cluster records into.
+    pub fn registry(&self) -> &Arc<Registry> {
+        &self.obs.registry
     }
 
     /// Attaches a trace sink: from here on every foreground write (and
@@ -549,9 +552,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
             match self.read_offload(idx, lba, tid) {
                 Ok(Some(data)) => {
                     self.next_read = (idx + 1) % n.max(1);
-                    if let Some(obs) = &self.obs {
-                        obs.reads_offloaded.inc();
-                    }
+                    self.obs.reads_offloaded.inc();
                     let stage = TraceStage::ReadOffload;
                     self.tracer.complete(tid, stage, idx as u32, data.len());
                     return Ok(ReadOutcome {
@@ -563,9 +564,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
                 // Guard rejection or a degraded replica: try the next.
                 Ok(None) | Err(_) => {
                     rejected += 1;
-                    if let Some(obs) = &self.obs {
-                        obs.read_rejected_stale.inc();
-                    }
+                    self.obs.read_rejected_stale.inc();
                     self.tracer
                         .event(tid, TraceStage::ReadReject, idx as u32, 0);
                 }
@@ -878,29 +877,27 @@ impl<D: BlockDevice> ClusterGroup<D> {
             r.consecutive_failures = 0;
             r.state = ReplicaState::Online;
         }
-        if let Some(obs) = &self.obs {
-            obs.registry.events().record(
-                Event::new(
-                    obs.clock.now_nanos(),
-                    EventKind::ResyncBatch {
-                        sent: total as u32,
-                        remaining: remaining as u32,
-                    },
-                )
-                .replica(idx),
-            );
-            self.publish_replica_gauges(idx);
-            if remaining == 0 {
-                obs.state_change(idx, ReplicaState::Resyncing, ReplicaState::Online);
-            }
+        let obs = &self.obs;
+        obs.registry.events().record(
+            Event::new(
+                obs.clock.now_nanos(),
+                EventKind::ResyncBatch {
+                    sent: total as u32,
+                    remaining: remaining as u32,
+                },
+            )
+            .replica(idx),
+        );
+        self.publish_replica_gauges(idx);
+        if remaining == 0 {
+            obs.state_change(idx, ReplicaState::Resyncing, ReplicaState::Online);
         }
         Ok(remaining)
     }
 
     /// Refreshes replica `idx`'s resync-progress gauges.
     fn publish_replica_gauges(&self, idx: usize) {
-        let Some(obs) = &self.obs else { return };
-        let r = &self.replicas[idx];
+        let (obs, r) = (&self.obs, &self.replicas[idx]);
         obs.registry
             .gauge(&format!("replica{idx}_dirty_blocks"))
             .set(r.dirty.len() as u64);
@@ -991,9 +988,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
         self.rejoin(idx, ResyncStrategy::DirtyBitmap)?;
         self.resync_to_completion(idx, divergent.len())?;
         outcome.repaired = divergent.len();
-        if let Some(obs) = &self.obs {
-            obs.scrub_repairs.add(outcome.repaired as u64);
-        }
+        self.obs.scrub_repairs.add(outcome.repaired as u64);
         Ok(outcome)
     }
 
@@ -1048,9 +1043,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
             });
         }
         self.replicas[idx].state = to;
-        if let Some(obs) = &self.obs {
-            obs.state_change(idx, from, to);
-        }
+        self.obs.state_change(idx, from, to);
         Ok(())
     }
 
@@ -1150,9 +1143,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
             ReplicaState::Offline => {}
         }
         let to = r.state;
-        if let Some(obs) = &self.obs {
-            obs.state_change(idx, from, to);
-        }
+        self.obs.state_change(idx, from, to);
     }
 
     fn abort_resync(&mut self, idx: usize) {
@@ -1161,9 +1152,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
         r.consecutive_failures += 1;
         let from = r.state;
         r.state = ReplicaState::Offline;
-        if let Some(obs) = &self.obs {
-            obs.state_change(idx, from, ReplicaState::Offline);
-        }
+        self.obs.state_change(idx, from, ReplicaState::Offline);
     }
 
     /// Reads the primary's block at `lba` into the reused `image`
@@ -1197,25 +1186,21 @@ impl<D: BlockDevice> ClusterGroup<D> {
     }
 
     /// Collects one ACK from replica `idx`, recording the round-trip
-    /// wait (and any NAK / collection failure) in the attached registry.
+    /// wait (and any NAK / collection failure) in the registry.
     fn collect_ack(&mut self, idx: usize) -> Option<(InFlight, Result<(), ClusterError>)> {
-        let started = self.obs.as_ref().map(|o| o.clock.now_nanos());
+        let started = self.obs.clock.now_nanos();
         let collected = self.collect(idx, |answer| (answer == Response::Ack).then_some(()))?;
-        if let (Some(obs), Some(t0)) = (&self.obs, started) {
-            let now = obs.clock.now_nanos();
-            obs.ack_rtt.record(now.saturating_sub(t0));
-            match &collected.1 {
-                Ok(()) => {}
-                Err(ClusterError::Repl(ReplError::Nak { .. })) => obs
-                    .registry
-                    .events()
-                    .record(Event::new(now, EventKind::Nak).replica(idx)),
-                Err(_) => obs
-                    .registry
-                    .events()
-                    .record(Event::new(now, EventKind::AckError).replica(idx)),
-            }
-        }
+        let obs = &self.obs;
+        let now = obs.clock.now_nanos();
+        obs.ack_rtt.record(now.saturating_sub(started));
+        let kind = match &collected.1 {
+            Ok(()) => return Some(collected),
+            Err(ClusterError::Repl(ReplError::Nak { .. })) => EventKind::Nak,
+            Err(_) => EventKind::AckError,
+        };
+        obs.registry
+            .events()
+            .record(Event::new(now, kind).replica(idx));
         Some(collected)
     }
 
@@ -1232,11 +1217,9 @@ impl<D: BlockDevice> ClusterGroup<D> {
         let collected = self.replicas[idx]
             .link
             .collect(self.config.ack_timeout, take)?;
-        if let Some(obs) = &self.obs {
-            obs.wrong_epoch_acks.add(u64::from(collected.stale));
-            if collected.corrupt_nak {
-                obs.checksum_failures.inc();
-            }
+        self.obs.wrong_epoch_acks.add(u64::from(collected.stale));
+        if collected.corrupt_nak {
+            self.obs.checksum_failures.inc();
         }
         let trace = match collected.tag {
             InFlight::Write { trace, .. } | InFlight::Request(trace) => trace,
@@ -1402,6 +1385,22 @@ mod tests {
         for dev in &h.devices {
             assert!(verify_consistent(h.cluster.device(), &**dev).unwrap());
         }
+        finish(h);
+    }
+
+    #[test]
+    fn an_unobserved_cluster_records_ack_round_trips() {
+        // No observer attached: the group still records into its
+        // private registry, timed by the wall clock.
+        let mut h = harness(2, 8, ClusterConfig::default());
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        for _ in 0..5 {
+            random_write(&mut h.cluster, &mut rng, 8).unwrap();
+        }
+        let snap = h.cluster.registry().snapshot();
+        let ack_rtt = &snap.histograms["cluster_ack_rtt_nanos"];
+        assert_eq!(ack_rtt.count, 10, "one sample per replica per write");
+        assert!(ack_rtt.sum > 0, "wall-clock round trips take time");
         finish(h);
     }
 

@@ -9,7 +9,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use prins_block::{BlockDevice, Lba};
-use prins_net::Clock;
+use prins_net::{Clock, WallClock};
 use prins_obs::{Counter, Event, EventKind, Registry, TraceSink, TraceStage};
 
 use crate::tracer::Tracer;
@@ -40,13 +40,29 @@ pub struct MigrationStatus {
     pub remaining: u64,
 }
 
-/// Observability hookup for a [`ShardedCluster`]: migration traffic
-/// and cutover events.
+/// A [`ShardedCluster`]'s metrics — migration traffic and cutover
+/// events — in a private registry timed by the wall clock until
+/// [`ShardedCluster::attach_observer`] chooses others.
 struct ShardObs {
     registry: Arc<Registry>,
     clock: Arc<dyn Clock>,
     /// Payload bytes copied by live migrations.
     migration_bytes: Arc<Counter>,
+}
+
+impl ShardObs {
+    fn new(registry: Arc<Registry>, clock: Arc<dyn Clock>) -> Self {
+        Self {
+            migration_bytes: registry.counter("migration_bytes"),
+            registry,
+            clock,
+        }
+    }
+
+    fn record(&self, kind: EventKind) {
+        let at = self.clock.now_nanos();
+        self.registry.events().record(Event::new(at, kind));
+    }
 }
 
 /// A volume sharded across several [`ClusterGroup`]s.
@@ -67,7 +83,7 @@ pub struct ShardedCluster<D> {
     /// Ownership overrides from completed migrations, latest wins.
     overrides: Vec<(Range<u64>, usize)>,
     migration: Option<Migration>,
-    obs: Option<ShardObs>,
+    obs: ShardObs,
     /// Mints the migration copy-batch traces. Per-write traces live in
     /// each group's own tracer (shard tag = group index); this one uses
     /// the tag one past the last group, so batch ids never collide with
@@ -97,22 +113,18 @@ impl<D: BlockDevice> ShardedCluster<D> {
             groups,
             overrides: Vec::new(),
             migration: None,
-            obs: None,
+            obs: ShardObs::new(Registry::new(), Arc::new(WallClock::new())),
             tracer: Tracer::default(),
         }
     }
 
-    /// Attaches a metrics registry: migrations record `migrate-batch` /
-    /// `cutover` events and the `migration_bytes` counter from here on.
-    /// Attach each group's observer separately (they may share the
-    /// registry).
+    /// Chooses the metrics registry and clock migrations record their
+    /// `migrate-batch` / `cutover` events and the `migration_bytes`
+    /// counter into from here on (default: a private registry and the
+    /// wall clock). Attach each group's observer separately (they may
+    /// share the registry).
     pub fn attach_observer(&mut self, registry: Arc<Registry>, clock: Arc<dyn Clock>) {
-        let migration_bytes = registry.counter("migration_bytes");
-        self.obs = Some(ShardObs {
-            registry,
-            clock,
-            migration_bytes,
-        });
+        self.obs = ShardObs::new(registry, clock);
     }
 
     /// Attaches one shared trace sink to every group (shard tag =
@@ -302,16 +314,11 @@ impl<D: BlockDevice> ShardedCluster<D> {
         let stage = TraceStage::MigrateCopy;
         self.tracer
             .complete(tid, stage, m.to as u32, (copied * bs) as usize);
-        if let Some(obs) = &self.obs {
-            obs.migration_bytes.add(copied * bs);
-            obs.registry.events().record(Event::new(
-                obs.clock.now_nanos(),
-                EventKind::MigrateBatch {
-                    copied: copied as u32,
-                    remaining: remaining as u32,
-                },
-            ));
-        }
+        self.obs.migration_bytes.add(copied * bs);
+        self.obs.record(EventKind::MigrateBatch {
+            copied: copied as u32,
+            remaining: remaining as u32,
+        });
         if remaining == 0 {
             self.cutover();
         }
@@ -350,15 +357,10 @@ impl<D: BlockDevice> ShardedCluster<D> {
         self.groups[m.from].bump_epochs();
         self.groups[m.to].drain();
         self.overrides.push((m.range.clone(), m.to));
-        if let Some(obs) = &self.obs {
-            obs.registry.events().record(Event::new(
-                obs.clock.now_nanos(),
-                EventKind::Cutover {
-                    from: m.from as u32,
-                    to: m.to as u32,
-                },
-            ));
-        }
+        self.obs.record(EventKind::Cutover {
+            from: m.from as u32,
+            to: m.to as u32,
+        });
     }
 }
 

@@ -5,9 +5,11 @@ use std::time::Duration;
 
 use prins_block::{BlockDevice, Lba};
 use prins_net::{Clock, Transport, WallClock};
+use prins_obs::Registry;
 use prins_policy::{AdaptiveReplicator, PolicyConfig, WorkloadPhase};
 use prins_repl::{AckPolicy, Payload, ReplError, ReplicaLink, ReplicationMode, Replicator};
 
+use crate::obs::PipeObs;
 use crate::pipeline::{PipelineConfig, PipelineTuning};
 use crate::PrinsEngine;
 
@@ -46,7 +48,7 @@ pub struct EngineBuilder {
     ack_policy: AckPolicy,
     config: PipelineConfig,
     clock: Option<Arc<dyn Clock>>,
-    registry: Option<Arc<prins_obs::Registry>>,
+    registry: Option<Arc<Registry>>,
     trace: Option<prins_obs::TraceConfig>,
 }
 
@@ -86,9 +88,9 @@ impl EngineBuilder {
     /// ([`AdaptiveReplicator`]): per-region strategy selection plus live
     /// retuning of [`batch_frames`](Self::batch_frames) and
     /// [`coalesce`](Self::coalesce) on workload-phase transitions (the
-    /// values configured here become the `Mixed`-phase baseline). With
-    /// [`observe`](Self::observe) set, decision and counterfactual
-    /// counters register under `policy_*`. Overrides
+    /// values configured here become the `Mixed`-phase baseline).
+    /// Decision and counterfactual counters register under `policy_*`
+    /// in the engine's registry. Overrides
     /// [`mode`](Self::mode) and [`replicator`](Self::replicator).
     pub fn adaptive(mut self, config: PolicyConfig) -> Self {
         self.adaptive = Some(config);
@@ -145,13 +147,17 @@ impl EngineBuilder {
         self
     }
 
-    /// Attaches a metrics registry (default: none): the engine records
-    /// per-stage latency histograms, queue-depth samples and typed
-    /// pipeline events into it, and publishes its counters as gauges at
-    /// every [`Registry::snapshot`](prins_obs::Registry::snapshot).
-    /// Share one registry across layers (engine, cluster, meters) for a
-    /// unified snapshot.
-    pub fn observe(mut self, registry: Arc<prins_obs::Registry>) -> Self {
+    /// Chooses the metrics registry the engine records into (default:
+    /// a private one, read back through
+    /// [`PrinsEngine::registry`](crate::PrinsEngine::registry)). The
+    /// engine always records its per-stage latency histograms,
+    /// queue-depth samples and `engine_*` / `lane{i}_*` counters, and
+    /// [`PrinsEngine::stats`](crate::PrinsEngine::stats) reads them
+    /// back, so give each engine a registry of its own. Typed pipeline
+    /// events are recorded only into an attached registry. Share one
+    /// registry with the other layers (cluster, meters) for a unified
+    /// snapshot.
+    pub fn observe(mut self, registry: Arc<Registry>) -> Self {
         self.registry = Some(registry);
         self
     }
@@ -195,35 +201,60 @@ impl EngineBuilder {
         config
     }
 
-    /// Starts the engine with the resolved replicator; wires the
-    /// adaptive policy's phase hook to the live pipeline tuning.
-    #[allow(clippy::too_many_arguments)]
-    fn start_engine(
-        device: Arc<dyn BlockDevice>,
-        mode: ReplicationMode,
-        replicator: Option<Arc<dyn Replicator>>,
-        adaptive: Option<Arc<AdaptiveReplicator>>,
-        transports: Vec<Box<dyn Transport>>,
-        config: PipelineConfig,
-        clock: Arc<dyn Clock>,
-        registry: Option<Arc<prins_obs::Registry>>,
-        trace: Option<prins_obs::TraceConfig>,
-    ) -> PrinsEngine {
+    /// Pushes a full image of the local device to every replica before
+    /// starting (the paper's initial sync), then builds the engine.
+    ///
+    /// The sync pipelines up to the configured ack window of frames per
+    /// replica and waits the configured ack timeout for each answer;
+    /// the transports are then handed to the engine's pipeline.
+    ///
+    /// # Errors
+    ///
+    /// Propagates sync failures; no engine is started in that case.
+    pub fn build_with_initial_sync(mut self) -> Result<PrinsEngine, ReplError> {
+        let config = self.resolved_config();
+        let replicas = std::mem::take(&mut self.replicas);
+        self.replicas = initial_sync(
+            &*self.device,
+            replicas,
+            config.ack_window,
+            config.ack_timeout,
+        )?;
+        Ok(self.build())
+    }
+
+    /// Builds and starts the engine (replicas are assumed to already
+    /// hold a copy of the device, e.g. fresh all-zero volumes). The
+    /// engine records into the attached registry, else a private one;
+    /// the adaptive policy's phase hook is wired to the live pipeline
+    /// tuning.
+    pub fn build(self) -> PrinsEngine {
+        let config = self.resolved_config();
+        let clock = self
+            .clock
+            .unwrap_or_else(|| Arc::new(WallClock::new()) as Arc<dyn Clock>);
+        let observed = self.registry.is_some();
+        let registry = self.registry.unwrap_or_default();
+        let adaptive = self
+            .adaptive
+            .map(|cfg| Arc::new(AdaptiveReplicator::with_registry(cfg, &registry)));
         let replicator = adaptive
             .clone()
             .map(|a| a as Arc<dyn Replicator>)
-            .or(replicator);
+            .or(self.replicator);
         let base_batch = config.batch_frames.max(1);
         let base_coalesce = config.coalesce;
+        let obs = PipeObs::new(registry, observed, self.replicas.len());
         let mut engine = PrinsEngine::start(
-            device,
-            mode,
+            self.device,
+            self.mode,
             replicator,
-            transports,
+            self.replicas,
             config,
             clock,
-            registry,
-            trace.map(|cfg| Arc::new(prins_obs::TraceSink::new(cfg))),
+            obs,
+            self.trace
+                .map(|cfg| Arc::new(prins_obs::TraceSink::new(cfg))),
         );
         if let Some(adaptive) = adaptive {
             let tuning: Arc<PipelineTuning> = Arc::clone(engine.tuning());
@@ -250,71 +281,6 @@ impl EngineBuilder {
             engine.adaptive = Some(adaptive);
         }
         engine
-    }
-
-    fn build_adaptive(&self) -> Option<Arc<AdaptiveReplicator>> {
-        self.adaptive.map(|cfg| {
-            Arc::new(match &self.registry {
-                Some(registry) => AdaptiveReplicator::with_registry(cfg, registry),
-                None => AdaptiveReplicator::new(cfg),
-            })
-        })
-    }
-
-    /// Pushes a full image of the local device to every replica before
-    /// starting (the paper's initial sync), then builds the engine.
-    ///
-    /// The sync pipelines up to the configured ack window of frames per
-    /// replica and waits the configured ack timeout for each answer;
-    /// the transports are then handed to the engine's pipeline.
-    ///
-    /// # Errors
-    ///
-    /// Propagates sync failures; no engine is started in that case.
-    pub fn build_with_initial_sync(self) -> Result<PrinsEngine, ReplError> {
-        let config = self.resolved_config();
-        let adaptive = self.build_adaptive();
-        let clock = self
-            .clock
-            .unwrap_or_else(|| Arc::new(WallClock::new()) as Arc<dyn Clock>);
-        let replicas = initial_sync(
-            &*self.device,
-            self.replicas,
-            config.ack_window,
-            config.ack_timeout,
-        )?;
-        Ok(Self::start_engine(
-            self.device,
-            self.mode,
-            self.replicator,
-            adaptive,
-            replicas,
-            config,
-            clock,
-            self.registry,
-            self.trace,
-        ))
-    }
-
-    /// Builds and starts the engine (replicas are assumed to already
-    /// hold a copy of the device, e.g. fresh all-zero volumes).
-    pub fn build(self) -> PrinsEngine {
-        let config = self.resolved_config();
-        let adaptive = self.build_adaptive();
-        let clock = self
-            .clock
-            .unwrap_or_else(|| Arc::new(WallClock::new()) as Arc<dyn Clock>);
-        Self::start_engine(
-            self.device,
-            self.mode,
-            self.replicator,
-            adaptive,
-            self.replicas,
-            config,
-            clock,
-            self.registry,
-            self.trace,
-        )
     }
 }
 

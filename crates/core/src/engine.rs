@@ -1,6 +1,5 @@
 //! The primary-side PRINS engine.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -59,13 +58,13 @@ impl PrinsEngine {
         transports: Vec<Box<dyn Transport>>,
         config: PipelineConfig,
         clock: Arc<dyn Clock>,
-        registry: Option<Arc<prins_obs::Registry>>,
+        obs: PipeObs,
         trace: Option<Arc<prins_obs::TraceSink>>,
     ) -> Self {
         let shared = Arc::new(Shared {
-            obs: registry.map(PipeObs::new),
+            last_error: Mutex::new(None),
+            obs,
             trace,
-            ..Shared::default()
         });
         // A custom replicator (e.g. prins-policy's adaptive one)
         // overrides the static strategy the mode names.
@@ -83,22 +82,7 @@ impl PrinsEngine {
             pool.clone(),
             Arc::clone(&tuning),
         );
-        if let Some(obs) = &shared.obs {
-            // The collector closes over a Weak: the registry outliving
-            // the engine must not keep the Shared block (and with it
-            // this very registry, via `obs`) alive in a cycle. Gauges
-            // keep their last published value, and the engine publishes
-            // once more on drop, so post-shutdown snapshots still show
-            // the final counters.
-            let weak = Arc::downgrade(&shared);
-            let lanes: Vec<_> = pipeline.lanes().to_vec();
-            let pool = pool.clone();
-            obs.registry.add_collector(Box::new(move |reg| {
-                if let Some(shared) = weak.upgrade() {
-                    publish_engine_gauges(reg, &shared, &lanes, &pool);
-                }
-            }));
-        }
+        shared.obs.publish_pool_gauges(pool.clone());
         Self {
             device,
             shared,
@@ -125,10 +109,11 @@ impl PrinsEngine {
         self.adaptive.as_ref()
     }
 
-    /// The metrics registry the engine records into, if one was
-    /// attached via [`observe`](crate::EngineBuilder::observe).
-    pub fn registry(&self) -> Option<&Arc<prins_obs::Registry>> {
-        self.shared.obs.as_ref().map(|obs| &obs.registry)
+    /// The metrics registry the engine records into: the one attached
+    /// via [`observe`](crate::EngineBuilder::observe), else the
+    /// engine's private one.
+    pub fn registry(&self) -> &Arc<prins_obs::Registry> {
+        &self.shared.obs.registry
     }
 
     /// The per-write trace sink, if tracing was enabled via
@@ -150,57 +135,19 @@ impl PrinsEngine {
         self.pipeline.step()
     }
 
-    /// Snapshot of the engine's counters.
+    /// Snapshot of the engine's counters, read from its registry.
     ///
     /// `writes_replicated` is the number of writes acknowledged by
     /// *every* replica; `replicated_payload_bytes` counts each
     /// successful transmission once per lane (a write sent to three
     /// replicas contributes three payloads).
     pub fn stats(&self) -> EngineStats {
-        let lanes = self.pipeline.lanes();
-        let writes_replicated = if lanes.is_empty() {
-            self.shared.dispatched_writes.load(Ordering::Relaxed)
-        } else {
-            lanes
-                .iter()
-                .map(|l| l.acked_writes.load(Ordering::Relaxed))
-                .min()
-                .unwrap_or(0)
-        };
-        EngineStats {
-            writes: self.shared.writes.load(Ordering::Relaxed),
-            reads: self.shared.reads.load(Ordering::Relaxed),
-            writes_replicated,
-            replicated_payload_bytes: lanes
-                .iter()
-                .map(|l| l.payload_bytes.load(Ordering::Relaxed))
-                .sum(),
-            local_write_nanos: self.shared.local_write_nanos.load(Ordering::Relaxed),
-            overhead_nanos: self.shared.overhead_nanos.load(Ordering::Relaxed),
-            send_nanos: lanes
-                .iter()
-                .map(|l| l.send_nanos.load(Ordering::Relaxed) + l.ack_nanos.load(Ordering::Relaxed))
-                .sum(),
-            replication_errors: self.shared.replication_errors.load(Ordering::Relaxed),
-            coalesced_writes: self.shared.coalesced_writes.load(Ordering::Relaxed),
-            queue_depth_hwm: self.shared.queue_depth_hwm.load(Ordering::Relaxed),
-        }
+        self.shared.obs.stats()
     }
 
     /// Per-replica sender-lane counters, in replica order.
     pub fn lane_stats(&self) -> Vec<LaneStats> {
-        self.pipeline
-            .lanes()
-            .iter()
-            .map(|l| LaneStats {
-                sends: l.sends.load(Ordering::Relaxed),
-                acked_writes: l.acked_writes.load(Ordering::Relaxed),
-                payload_bytes: l.payload_bytes.load(Ordering::Relaxed),
-                send_nanos: l.send_nanos.load(Ordering::Relaxed),
-                ack_nanos: l.ack_nanos.load(Ordering::Relaxed),
-                errors: l.errors.load(Ordering::Relaxed),
-            })
-            .collect()
+        self.shared.obs.lane_stats()
     }
 
     /// Per-lane `(lba, seq)` send logs, in send order.
@@ -255,7 +202,7 @@ impl BlockDevice for PrinsEngine {
 
     fn read_block(&self, lba: Lba, buf: &mut [u8]) -> Result<()> {
         self.device.read_block(lba, buf)?;
-        self.shared.reads.fetch_add(1, Ordering::Relaxed);
+        self.shared.obs.reads.inc();
         Ok(())
     }
 
@@ -276,25 +223,16 @@ impl BlockDevice for PrinsEngine {
         self.device.write_block(lba, buf)?;
         let write_nanos = self.clock.now_nanos().saturating_sub(t1);
 
-        self.shared
-            .overhead_nanos
-            .fetch_add(capture_nanos, Ordering::Relaxed);
-        self.shared
-            .local_write_nanos
-            .fetch_add(write_nanos, Ordering::Relaxed);
-        self.shared.writes.fetch_add(1, Ordering::Relaxed);
-        if let Some(obs) = &self.shared.obs {
-            obs.capture.record(capture_nanos);
-            obs.local_write.record(write_nanos);
-        }
+        let obs = &self.shared.obs;
+        obs.capture.record(capture_nanos);
+        obs.local_write.record(write_nanos);
+        obs.writes.inc();
 
         // Forward step, part 2: the new image's single hot-path copy,
         // into a pooled buffer the encoder reads from in place.
         let mut new = self.pool.get(buf.len());
         new.copy_from(buf);
-        self.shared
-            .hot_bytes_copied
-            .fetch_add(buf.len() as u64, Ordering::Relaxed);
+        obs.hot_bytes_copied.add(buf.len() as u64);
         self.pipeline
             .admit(lba, old, new)
             .map_err(|_| BlockError::DeviceFailed {
@@ -313,71 +251,6 @@ impl Drop for PrinsEngine {
         // Best-effort teardown; errors were reportable via shutdown().
         // The pipeline drains queued work before its threads exit.
         self.pipeline.shutdown();
-        if let Some(obs) = &self.shared.obs {
-            // Final gauge publish: the snapshot collector only holds a
-            // Weak to this engine's state and goes quiet after drop.
-            publish_engine_gauges(
-                &obs.registry,
-                &self.shared,
-                self.pipeline.lanes(),
-                &self.pool,
-            );
-        }
-    }
-}
-
-/// Copies the engine's counters into registry gauges. Run by the
-/// snapshot collector while the engine lives and once at drop.
-fn publish_engine_gauges(
-    reg: &prins_obs::Registry,
-    shared: &Shared,
-    lanes: &[Arc<crate::pipeline::LaneState>],
-    pool: &BufPool,
-) {
-    let pool_stats = pool.stats();
-    let writes = shared.writes.load(Ordering::Relaxed);
-    let hot_bytes = shared.hot_bytes_copied.load(Ordering::Relaxed);
-    for (name, value) in [
-        ("engine_writes", writes),
-        ("engine_reads", shared.reads.load(Ordering::Relaxed)),
-        (
-            "engine_coalesced_writes",
-            shared.coalesced_writes.load(Ordering::Relaxed),
-        ),
-        (
-            "engine_dispatched_writes",
-            shared.dispatched_writes.load(Ordering::Relaxed),
-        ),
-        (
-            "engine_replication_errors",
-            shared.replication_errors.load(Ordering::Relaxed),
-        ),
-        (
-            "engine_queue_depth_hwm",
-            shared.queue_depth_hwm.load(Ordering::Relaxed),
-        ),
-        ("engine_hot_bytes_copied", hot_bytes),
-        (
-            "engine_bytes_copied_per_write",
-            hot_bytes.checked_div(writes).unwrap_or(0),
-        ),
-        ("pool_hits", pool_stats.hits),
-        ("pool_misses", pool_stats.misses),
-        ("pool_miss_ppm", pool_stats.miss_ppm()),
-        ("pool_in_use", pool_stats.in_use),
-        ("pool_in_use_hwm", pool_stats.in_use_hwm),
-    ] {
-        reg.gauge(name).set(value);
-    }
-    for (idx, lane) in lanes.iter().enumerate() {
-        for (suffix, value) in [
-            ("sends", lane.sends.load(Ordering::Relaxed)),
-            ("acked_writes", lane.acked_writes.load(Ordering::Relaxed)),
-            ("payload_bytes", lane.payload_bytes.load(Ordering::Relaxed)),
-            ("errors", lane.errors.load(Ordering::Relaxed)),
-        ] {
-            reg.gauge(&format!("lane{idx}_{suffix}")).set(value);
-        }
     }
 }
 

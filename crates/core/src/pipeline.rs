@@ -56,7 +56,7 @@
 //! the same functions the threaded loops run.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -156,39 +156,15 @@ impl PipelineTuning {
     }
 }
 
-/// Counters shared between the engine front-end and the pipeline
-/// stages.
-#[derive(Default)]
+/// State shared between the engine front-end and the pipeline stages.
 pub(crate) struct Shared {
-    pub writes: AtomicU64,
-    pub reads: AtomicU64,
-    pub local_write_nanos: AtomicU64,
-    pub overhead_nanos: AtomicU64,
-    pub replication_errors: AtomicU64,
-    pub coalesced_writes: AtomicU64,
-    pub queue_depth_hwm: AtomicU64,
-    /// Writes released by the reorder stage to the sender lanes (with
-    /// no replicas configured this is the replicated count).
-    pub dispatched_writes: AtomicU64,
-    /// Bytes memcpy'd on the hot path (block capture → wire frame).
-    /// With the pooled path a block's bytes are copied once at capture
-    /// and once onto the wire; this counter is what proves it.
-    pub hot_bytes_copied: AtomicU64,
     pub last_error: parking_lot::Mutex<Option<String>>,
-    /// Registry wiring; `None` costs one branch per stage.
-    pub obs: Option<PipeObs>,
+    /// The engine's metrics: every stage histogram and counter.
+    pub obs: PipeObs,
     /// Per-write causal tracing; `None` costs one branch per stage.
     /// Stage hops record into fixed slots, so the write path stays
     /// allocation-free with tracing on.
     pub trace: Option<Arc<TraceSink>>,
-}
-
-pub(crate) fn record_error(shared: &Shared, e: &ReplError) {
-    shared.replication_errors.fetch_add(1, Ordering::Relaxed);
-    let mut slot = shared.last_error.lock();
-    if slot.is_none() {
-        *slot = Some(e.to_string());
-    }
 }
 
 /// A write waiting for the encode pool. The block images live in
@@ -201,7 +177,7 @@ struct EncodeJob {
     new: PooledBuf,
     /// Writes folded into this job beyond the first.
     folds: u64,
-    /// Clock reading at admission (0 when observability is off).
+    /// Clock reading at admission.
     admitted_at: u64,
 }
 
@@ -222,8 +198,8 @@ struct Ready {
     lba: Lba,
     writes: u64,
     payload: PooledBytes,
-    /// Clock reading when encoding finished (0 when observability is
-    /// off); the reorder hold is measured against it at release.
+    /// Clock reading when encoding finished; the reorder hold is
+    /// measured against it at release.
     encoded_at: u64,
 }
 
@@ -239,8 +215,8 @@ struct Released {
     lba: Lba,
     writes: u64,
     bytes: PooledBytes,
-    /// Clock reading at release to the lanes (0 when observability is
-    /// off); the lane-queue wait is measured against it.
+    /// Clock reading at release to the lanes; the lane-queue wait is
+    /// measured against it.
     released_at: u64,
 }
 
@@ -280,7 +256,7 @@ impl BarrierGate {
     }
 }
 
-/// One replica's sender lane: a bounded queue plus its counters.
+/// One replica's sender lane queue.
 ///
 /// The queue is hand-rolled over `std::sync` because the vendored
 /// crossbeam only ships unbounded channels and backpressure here is
@@ -290,12 +266,6 @@ pub(crate) struct LaneState {
     not_empty: Condvar,
     not_full: Condvar,
     cap: usize,
-    pub sends: AtomicU64,
-    pub acked_writes: AtomicU64,
-    pub payload_bytes: AtomicU64,
-    pub send_nanos: AtomicU64,
-    pub ack_nanos: AtomicU64,
-    pub errors: AtomicU64,
     send_log: Option<Mutex<Vec<(Lba, u64)>>>,
 }
 
@@ -306,12 +276,6 @@ impl LaneState {
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             cap: cap.max(1),
-            sends: AtomicU64::new(0),
-            acked_writes: AtomicU64::new(0),
-            payload_bytes: AtomicU64::new(0),
-            send_nanos: AtomicU64::new(0),
-            ack_nanos: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
             send_log: trace_sends.then(|| Mutex::new(Vec::new())),
         }
     }
@@ -582,7 +546,7 @@ impl Pipeline {
     /// for this LBA left behind. Both images arrive in pooled buffers;
     /// a fold recycles the superseded `new` image immediately.
     pub fn admit(&self, lba: Lba, old: PooledBuf, new: PooledBuf) -> Result<(), ReplError> {
-        let obs = self.inner.shared.obs.as_ref();
+        let obs = &self.inner.shared.obs;
         let trace = self.inner.shared.trace.as_ref();
         let new_len = new.len();
         // Read the live flag once so one admission sees one mode.
@@ -598,19 +562,12 @@ impl Pipeline {
                 debug_assert_eq!(job.seq, seq);
                 job.new = new;
                 job.folds += 1;
-                self.inner
-                    .shared
-                    .coalesced_writes
-                    .fetch_add(1, Ordering::Relaxed);
-                if obs.is_some() || trace.is_some() {
-                    let now = self.inner.clock.now_nanos();
-                    if let Some(obs) = obs {
-                        obs.queue_depth.record(st.queue.len() as u64);
-                        obs.record(Event::new(now, EventKind::Coalesce).seq(seq).lba(lba.0));
-                    }
-                    if let Some(trace) = trace {
-                        trace.fold(TraceId::from_seq(seq), now, new_len);
-                    }
+                obs.coalesced_writes.inc();
+                let now = self.inner.clock.now_nanos();
+                obs.queue_depth.record(st.queue.len() as u64);
+                obs.record(Event::new(now, EventKind::Coalesce).seq(seq).lba(lba.0));
+                if let Some(trace) = trace {
+                    trace.fold(TraceId::from_seq(seq), now, new_len);
                 }
                 return Ok(());
             }
@@ -620,22 +577,19 @@ impl Pipeline {
         if coalesce {
             st.by_lba.insert(lba.0, seq);
         }
-        let admitted_at = if obs.is_some() || trace.is_some() {
-            let now = self.inner.clock.now_nanos();
-            if let Some(obs) = obs {
-                obs.record(Event::new(now, EventKind::Admit).seq(seq).lba(lba.0));
-            }
-            if let Some(trace) = trace {
-                // One expected completion per lane plus the reorder
-                // stage's hold, released once the payload is handed to
-                // the lanes — so a zero-replica engine still finalizes.
-                let pending = self.inner.lanes.len() as u32 + 1;
-                trace.begin(TraceId::from_seq(seq), 0, pending, now, new_len);
-            }
-            now
-        } else {
-            0
-        };
+        let admitted_at = self.inner.clock.now_nanos();
+        obs.record(
+            Event::new(admitted_at, EventKind::Admit)
+                .seq(seq)
+                .lba(lba.0),
+        );
+        if let Some(trace) = trace {
+            // One expected completion per lane plus the reorder stage's
+            // hold, released once the payload is handed to the lanes —
+            // so a zero-replica engine still finalizes.
+            let pending = self.inner.lanes.len() as u32 + 1;
+            trace.begin(TraceId::from_seq(seq), 0, pending, admitted_at, new_len);
+        }
         st.queue.push_back(EncodeJob {
             seq,
             lba,
@@ -644,13 +598,7 @@ impl Pipeline {
             folds: 0,
             admitted_at,
         });
-        if let Some(obs) = obs {
-            obs.queue_depth.record(st.queue.len() as u64);
-        }
-        self.inner
-            .shared
-            .queue_depth_hwm
-            .fetch_max(st.queue.len() as u64, Ordering::Relaxed);
+        obs.queue_depth.record(st.queue.len() as u64);
         drop(st);
         self.inner.admit_cv.notify_one();
         Ok(())
@@ -692,7 +640,8 @@ impl Pipeline {
     }
 
     fn record_barrier(&self) {
-        if let Some(obs) = &self.inner.shared.obs {
+        let obs = &self.inner.shared.obs;
+        if obs.logs_events() {
             obs.record(Event::new(self.inner.clock.now_nanos(), EventKind::Barrier));
         }
     }
@@ -741,7 +690,7 @@ fn claim_job(st: &mut AdmitState) -> Option<EncodeJob> {
 /// Encodes one job and releases every consecutively-ready payload to
 /// the lanes. Shared by the encode-pool workers and the stepped driver.
 fn encode_and_release(inner: &Inner, replicator: &dyn Replicator, job: EncodeJob) {
-    let obs = inner.shared.obs.as_ref();
+    let obs = &inner.shared.obs;
     let trace = inner.shared.trace.as_ref();
     let t0 = inner.clock.now_nanos();
     // Serialize straight into a pooled buffer: the fused encoders write
@@ -754,20 +703,14 @@ fn encode_and_release(inner: &Inner, replicator: &dyn Replicator, job: EncodeJob
     drop(job.old);
     drop(job.new);
     let t1 = inner.clock.now_nanos();
-    inner
-        .shared
-        .overhead_nanos
-        .fetch_add(t1.saturating_sub(t0), Ordering::Relaxed);
-    if let Some(obs) = obs {
-        obs.admission_wait
-            .record(t0.saturating_sub(job.admitted_at));
-        obs.encode.record(t1.saturating_sub(t0));
-        obs.record(
-            Event::new(t1, EventKind::EncodeDone)
-                .seq(job.seq)
-                .lba(job.lba.0),
-        );
-    }
+    obs.admission_wait
+        .record(t0.saturating_sub(job.admitted_at));
+    obs.encode.record(t1.saturating_sub(t0));
+    obs.record(
+        Event::new(t1, EventKind::EncodeDone)
+            .seq(job.seq)
+            .lba(job.lba.0),
+    );
     if let Some(trace) = trace {
         trace.event(
             TraceId::from_seq(job.seq),
@@ -797,20 +740,10 @@ fn encode_and_release(inner: &Inner, replicator: &dyn Replicator, job: EncodeJob
             break;
         };
         ro.next_seq += 1;
-        inner
-            .shared
-            .dispatched_writes
-            .fetch_add(ready.writes, Ordering::Relaxed);
-        let released_at = if obs.is_some() || trace.is_some() {
-            let now = inner.clock.now_nanos();
-            if let Some(obs) = obs {
-                obs.reorder_hold
-                    .record(now.saturating_sub(ready.encoded_at));
-            }
-            now
-        } else {
-            0
-        };
+        obs.dispatched_writes.add(ready.writes);
+        let released_at = inner.clock.now_nanos();
+        obs.reorder_hold
+            .record(released_at.saturating_sub(ready.encoded_at));
         if let Some(trace) = trace {
             let id = TraceId::from_seq(seq);
             trace.event(id, TraceStage::Reorder, NO_LANE, released_at, 0);
@@ -883,14 +816,11 @@ impl Lane {
     /// batch header in place and covers the whole batch with one CRC
     /// pass.
     fn send(&mut self, first: Released) {
-        let obs = self.inner.shared.obs.as_ref();
+        let obs = &self.inner.shared.obs;
+        let counters = &obs.lanes[self.idx];
         let tsink = self.inner.shared.trace.as_ref();
         let lane = &*self.inner.lanes[self.idx];
-        let picked_up = if obs.is_some() || tsink.is_some() {
-            self.inner.clock.now_nanos()
-        } else {
-            0
-        };
+        let picked_up = self.inner.clock.now_nanos();
         let (first_seq, first_lba) = (first.seq, first.lba);
         let tracing = lane.send_log.is_some();
         let mut trace: Vec<(Lba, u64)> = Vec::new();
@@ -899,10 +829,8 @@ impl Lane {
         let batch_frames = self.tuning.batch_frames();
         let mut next = Some(first);
         while let Some(released) = next {
-            if let Some(obs) = obs {
-                obs.lane_queue
-                    .record(picked_up.saturating_sub(released.released_at));
-            }
+            obs.lane_queue
+                .record(picked_up.saturating_sub(released.released_at));
             if tracing {
                 trace.push((released.lba, released.seq));
             }
@@ -936,57 +864,44 @@ impl Lane {
                 .pool
                 .get(payload_len + 10 * self.batch.len() + 32),
         };
-        self.inner
-            .shared
-            .hot_bytes_copied
-            .fetch_add(payload_len as u64, Ordering::Relaxed);
+        obs.hot_bytes_copied.add(payload_len as u64);
 
         let t0 = self.inner.clock.now_nanos();
         let sent = self.link.send_retained(&self.batch, frame);
         let t1 = self.inner.clock.now_nanos();
         // Recycle the payload buffers.
         self.batch.clear();
-        lane.send_nanos
-            .fetch_add(t1.saturating_sub(t0), Ordering::Relaxed);
-        if let Some(obs) = obs {
-            obs.send.record(t1.saturating_sub(t0));
-        }
+        obs.send.record(t1.saturating_sub(t0));
         let wire_len = match sent {
             Ok(wire_len) => wire_len,
             Err(e) => {
                 // The frame retires unsent; the error surfaces at the
                 // next flush.
-                lane.errors.fetch_add(1, Ordering::Relaxed);
-                if let Some(obs) = obs {
-                    obs.record(
-                        Event::new(t1, EventKind::SendError)
-                            .seq(first_seq)
-                            .lba(first_lba.0)
-                            .replica(self.idx),
-                    );
-                }
+                obs.record(
+                    Event::new(t1, EventKind::SendError)
+                        .seq(first_seq)
+                        .lba(first_lba.0)
+                        .replica(self.idx),
+                );
                 self.complete(range, TraceStage::SendError, t1);
-                record_error(&self.inner.shared, &e);
+                self.record_error(&e);
                 return;
             }
         };
-        lane.sends.fetch_add(1, Ordering::Relaxed);
-        lane.payload_bytes
-            .fetch_add(wire_len as u64, Ordering::Relaxed);
+        counters.sends.inc();
+        counters.payload_bytes.add(wire_len as u64);
         lane.record_sent(&trace);
-        if let Some(obs) = obs {
-            obs.record(
-                Event::new(
-                    t1,
-                    EventKind::Send {
-                        writes: total_writes.min(u32::MAX as u64) as u32,
-                    },
-                )
-                .seq(first_seq)
-                .lba(first_lba.0)
-                .replica(self.idx),
-            );
-        }
+        obs.record(
+            Event::new(
+                t1,
+                EventKind::Send {
+                    writes: total_writes.min(u32::MAX as u64) as u32,
+                },
+            )
+            .seq(first_seq)
+            .lba(first_lba.0)
+            .replica(self.idx),
+        );
         if let Some(tsink) = tsink {
             for s in range.iter() {
                 let bytes = if s == first_seq { wire_len } else { 0 };
@@ -1019,8 +934,8 @@ impl Lane {
     /// block is repaired by the resync layer rather than guessed at
     /// here.
     fn collect_one(&mut self) {
-        let obs = self.inner.shared.obs.as_ref();
-        let lane = &*self.inner.lanes[self.idx];
+        let obs = &self.inner.shared.obs;
+        let counters = &obs.lanes[self.idx];
         let sole_in_flight = self.link.in_flight() == 1;
         let mut attempt: u32 = 0;
         let mut waited: u64 = 0;
@@ -1032,10 +947,8 @@ impl Lane {
                 .expect("a frame is in flight");
             let t1 = self.inner.clock.now_nanos();
             waited += t1.saturating_sub(t0);
-            lane.ack_nanos
-                .fetch_add(t1.saturating_sub(t0), Ordering::Relaxed);
             let (writes, range) = (answer.tag.writes, answer.tag.range);
-            if let (true, Some(obs)) = (answer.corrupt_nak, obs) {
+            if answer.corrupt_nak {
                 obs.checksum_failures.inc();
             }
             if !answer.corrupt_nak || !sole_in_flight || attempt >= MAX_RETRANSMITS {
@@ -1046,11 +959,8 @@ impl Lane {
             if let Err(e) = self.link.resend(answer.tag) {
                 break (t1, writes, range, Err(e));
             }
-            lane.payload_bytes
-                .fetch_add(frame_len as u64, Ordering::Relaxed);
-            if let Some(obs) = obs {
-                obs.retransmits.inc();
-            }
+            counters.payload_bytes.add(frame_len as u64);
+            obs.retransmits.inc();
             if let Some(tsink) = &self.inner.shared.trace {
                 for s in range.iter() {
                     tsink.mark_retransmit(TraceId::from_seq(s), self.idx as u32, t1);
@@ -1059,29 +969,32 @@ impl Lane {
         };
         // One RTT sample and one terminal event per retired frame,
         // however many retransmission round-trips it took.
-        if let Some(obs) = obs {
-            obs.ack_rtt.record(waited);
-        }
+        obs.ack_rtt.record(waited);
         match result {
             Ok(()) => {
-                lane.acked_writes.fetch_add(writes, Ordering::Relaxed);
-                if let Some(obs) = obs {
-                    obs.record(Event::new(t1, EventKind::AckOk).replica(self.idx));
-                }
+                counters.acked_writes.add(writes);
+                obs.record(Event::new(t1, EventKind::AckOk).replica(self.idx));
                 self.complete(range, TraceStage::Ack, t1);
             }
             Err(e) => {
-                if let Some(obs) = obs {
-                    let kind = match e {
-                        ReplError::Nak { .. } => EventKind::Nak,
-                        _ => EventKind::AckError,
-                    };
-                    obs.record(Event::new(t1, kind).replica(self.idx));
-                }
+                let kind = match e {
+                    ReplError::Nak { .. } => EventKind::Nak,
+                    _ => EventKind::AckError,
+                };
+                obs.record(Event::new(t1, kind).replica(self.idx));
                 self.complete(range, TraceStage::AckError, t1);
-                lane.errors.fetch_add(1, Ordering::Relaxed);
-                record_error(&self.inner.shared, &e);
+                self.record_error(&e);
             }
+        }
+    }
+
+    /// Counts a failed send or acknowledgement on this lane and keeps
+    /// the first error for the next flush to report.
+    fn record_error(&self, e: &ReplError) {
+        self.inner.shared.obs.lanes[self.idx].errors.inc();
+        let mut slot = self.inner.shared.last_error.lock();
+        if slot.is_none() {
+            *slot = Some(e.to_string());
         }
     }
 
@@ -1113,7 +1026,7 @@ mod tests {
     use proptest::prelude::*;
     use rand::{RngExt, SeedableRng};
 
-    use crate::{EngineBuilder, PrinsEngine};
+    use crate::{EngineBuilder, EngineStats, LaneStats, PrinsEngine};
 
     type ReplicaHandle = std::thread::JoinHandle<Result<u64, ReplError>>;
 
@@ -1448,7 +1361,9 @@ mod tests {
         assert_eq!(lanes[0].sends, 8, "batching should be exact: {lanes:?}");
         // Ack collection pumped the simulated link, so the virtual ack
         // wait is visible in the stats (sends are scheduled instantly).
-        assert!(lanes[0].ack_nanos > 0);
+        let ack_rtt = &engine.registry().snapshot().histograms["stage_ack_rtt_nanos"];
+        assert!(ack_rtt.sum > 0);
+        assert_eq!(stats.send_nanos, ack_rtt.sum);
         assert!(net.clock().now() >= 2_000_000, "at least one 1 ms RTT");
 
         engine.shutdown().unwrap();
@@ -1506,8 +1421,8 @@ mod tests {
             assert_eq!(snap.event_counts["send"], 80);
             assert_eq!(snap.event_counts["ack-ok"], 80);
             assert!(!snap.event_counts.contains_key("nak"));
-            assert_eq!(snap.gauges["engine_writes"], 40);
-            assert_eq!(snap.gauges["lane0_sends"], 40);
+            assert_eq!(snap.counters["engine_writes"], 40);
+            assert_eq!(snap.counters["lane0_sends"], 40);
             (snap.to_json(), registry.events().trace())
         }
         let (json_a, trace_a) = run();
@@ -1515,6 +1430,69 @@ mod tests {
         assert_eq!(json_a, json_b, "same seed must give identical snapshots");
         assert_eq!(trace_a, trace_b, "same seed must give identical traces");
         assert!(!trace_a.is_empty());
+    }
+
+    #[test]
+    fn observing_changes_no_number_only_whether_events_are_logged() {
+        // The same stepped virtual-time run, once with an attached
+        // registry and once without: the engine records into a private
+        // registry when none is attached, so its stats, lane stats and
+        // stage histograms must come out identical. Only the attached
+        // registry logs events.
+        type Stage = (String, prins_obs::HistogramSnapshot);
+        fn run(observe: bool) -> (EngineStats, Vec<LaneStats>, Vec<Stage>, u64) {
+            let net = SimNet::new();
+            net.clock().set_auto_tick(75);
+            let (transports, _ctls, _devs) = sim_replicas(&net, 2, 8, Duration::from_micros(200));
+            let primary = Arc::new(MemDevice::new(BlockSize::kb4(), 8));
+            let mut builder = EngineBuilder::new(Arc::clone(&primary) as Arc<dyn BlockDevice>)
+                .manual_stepping(true)
+                .clock(net.clock())
+                .coalesce(true)
+                .batch_frames(4)
+                .ack_policy(AckPolicy::Window(4));
+            if observe {
+                builder = builder.observe(prins_obs::Registry::new());
+            }
+            for transport in transports {
+                builder = builder.replica(transport);
+            }
+            let engine = builder.build();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(31);
+            for i in 0..48u64 {
+                let mut block = vec![0u8; 4096];
+                rng.fill_bytes(&mut block[..512]);
+                engine.write_block(Lba(i % 8), &block).unwrap();
+                if i % 12 == 0 {
+                    engine.step();
+                }
+            }
+            engine.flush().unwrap();
+            let snap = engine.registry().snapshot();
+            let stages: Vec<_> = snap
+                .histograms
+                .into_iter()
+                .filter(|(name, _)| name.starts_with("stage_") || name == "admit_queue_depth")
+                .collect();
+            let logged = engine.registry().events().counts().values().sum();
+            let (stats, lanes) = (engine.stats(), engine.lane_stats());
+            engine.shutdown().unwrap();
+            (stats, lanes, stages, logged)
+        }
+        let (stats, lanes, stages, logged) = run(true);
+        let (bare_stats, bare_lanes, bare_stages, bare_logged) = run(false);
+        assert_eq!(stats.writes, 48);
+        assert!(
+            stats.overhead_nanos > 0 && stats.send_nanos > 0,
+            "{stats:?}"
+        );
+        assert!(stats.coalesced_writes > 0 && stats.queue_depth_hwm > 0);
+        assert_eq!(stages.len(), 9, "{stages:?}");
+        assert_eq!(bare_stats, stats);
+        assert_eq!(bare_lanes, lanes);
+        assert_eq!(bare_stages, stages);
+        assert!(logged > 0);
+        assert_eq!(bare_logged, 0, "an unattached registry logs no events");
     }
 
     #[test]

@@ -3,7 +3,9 @@
 
 use std::time::Duration;
 
-/// Counters and timings accumulated by a [`PrinsEngine`](crate::PrinsEngine).
+/// Counters and timings accumulated by a [`PrinsEngine`](crate::PrinsEngine),
+/// read from the instruments of its registry (see
+/// [`PrinsEngine::registry`](crate::PrinsEngine::registry)).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Block writes accepted by the engine.
@@ -15,22 +17,25 @@ pub struct EngineStats {
     /// Application payload bytes handed to the transports.
     pub replicated_payload_bytes: u64,
     /// Nanoseconds spent performing local block writes (the unavoidable
-    /// base cost).
+    /// base cost): the sum of `stage_local_write_nanos`.
     pub local_write_nanos: u64,
     /// Nanoseconds spent on PRINS-specific work in the write path:
-    /// reading the old image and XOR/encode of the parity.
+    /// reading the old image and XOR/encode of the parity — the sums of
+    /// `stage_capture_nanos` and `stage_encode_nanos`.
     pub overhead_nanos: u64,
-    /// Nanoseconds the replication thread spent sending and awaiting
-    /// acknowledgements (off the critical path).
+    /// Nanoseconds the sender lanes spent sending and awaiting
+    /// acknowledgements (off the critical path): the sums of
+    /// `stage_send_nanos` and `stage_ack_rtt_nanos`.
     pub send_nanos: u64,
     /// Replication failures observed (payloads NAKed or transports
-    /// down).
+    /// down), summed over the lanes' `lane{i}_errors`.
     pub replication_errors: u64,
     /// Writes folded into a still-queued write to the same LBA
     /// (XOR-coalescing; zero unless enabled on the builder).
     pub coalesced_writes: u64,
     /// High-water mark of the encode admission queue depth — how far
-    /// the application ran ahead of the pipeline.
+    /// the application ran ahead of the pipeline: the maximum of
+    /// `admit_queue_depth`.
     pub queue_depth_hwm: u64,
 }
 
@@ -67,12 +72,8 @@ impl EngineStats {
 }
 
 /// Counters for one per-replica sender lane (see
-/// [`PrinsEngine::lane_stats`](crate::PrinsEngine::lane_stats)).
-///
-/// The split between `send_nanos` (time in `Transport::send`) and
-/// `ack_nanos` (time waiting for acknowledgements) is what makes a
-/// slow replica visible: its lane accumulates ack time while the
-/// other lanes keep draining.
+/// [`PrinsEngine::lane_stats`](crate::PrinsEngine::lane_stats)), read
+/// from the registry's `lane{i}_*` counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LaneStats {
     /// Wire frames transmitted (a batch frame counts once).
@@ -82,21 +83,8 @@ pub struct LaneStats {
     pub acked_writes: u64,
     /// Payload bytes successfully handed to this transport.
     pub payload_bytes: u64,
-    /// Nanoseconds inside `Transport::send`.
-    pub send_nanos: u64,
-    /// Nanoseconds waiting for acknowledgements.
-    pub ack_nanos: u64,
     /// Send or acknowledgement failures on this lane.
     pub errors: u64,
-}
-
-impl LaneStats {
-    /// Mean round-trip-inclusive acknowledgement wait per frame.
-    pub fn mean_ack_wait(&self) -> Duration {
-        self.ack_nanos
-            .checked_div(self.sends)
-            .map_or(Duration::ZERO, Duration::from_nanos)
-    }
 }
 
 #[cfg(test)]
@@ -110,9 +98,6 @@ mod tests {
         assert_eq!(s.mean_payload_per_write(), 0.0);
         assert!(s.overhead_ratio().is_finite());
         assert!(s.mean_payload_per_write().is_finite());
-        // The lane-side ratio guards the same way: an idle lane reports
-        // a zero wait, never NaN or a division panic.
-        assert_eq!(LaneStats::default().mean_ack_wait(), Duration::ZERO);
     }
 
     #[test]

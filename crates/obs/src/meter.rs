@@ -1,8 +1,7 @@
 //! Adapter surfacing [`TrafficMeter`]s in a [`Registry`].
 //!
 //! `prins-net` cannot depend on `prins-obs` (the dependency points the
-//! other way, since spans need the `Clock` trait), so the bridge lives
-//! here: a snapshot-time collector copies the meter's counters into
+//! other way), so the bridge lives here: a snapshot-time collector copies the meter's counters into
 //! prefixed gauges.
 
 use std::sync::Arc;

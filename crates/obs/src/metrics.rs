@@ -68,15 +68,15 @@ impl Gauge {
 /// A fixed-bucket log2 histogram of `u64` samples (typically
 /// nanoseconds).
 ///
-/// Recording is one `fetch_add` per sample plus three bookkeeping
-/// atomics — no locks, no allocation — so it is safe on the hottest
-/// paths. Percentiles are estimated as the upper edge of the bucket
+/// Recording is two `fetch_add`s per sample (bucket and sum) plus a
+/// `fetch_max` only when the sample is a new maximum — no locks, no
+/// allocation — so it is safe on the hottest paths. The sample count
+/// is the sum of the buckets, not a third counter. Percentiles are estimated as the upper edge of the bucket
 /// holding the requested rank, which bounds the estimation error by
 /// one bucket width (a factor of two in value).
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
 }
@@ -85,7 +85,6 @@ impl Default for Histogram {
     fn default() -> Self {
         Self {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }
@@ -131,22 +130,17 @@ impl Histogram {
     /// Records one sample.
     pub fn record(&self, v: u64) {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        // Samples rarely set a new maximum: skip the read-modify-write
+        // unless this one does.
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
-    /// Records the span from `started` (a [`Clock::now_nanos`] reading)
-    /// to now.
-    ///
-    /// [`Clock::now_nanos`]: prins_net::Clock::now_nanos
-    pub fn record_since(&self, clock: &dyn prins_net::Clock, started: u64) {
-        self.record(clock.now_nanos().saturating_sub(started));
-    }
-
-    /// Samples recorded.
+    /// Samples recorded (the sum of the buckets).
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
     /// Sum of all samples.
@@ -174,8 +168,6 @@ impl Histogram {
                 self.buckets[i].fetch_add(n, Ordering::Relaxed);
             }
         }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
         self.sum
             .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
         self.max

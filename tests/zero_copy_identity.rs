@@ -23,8 +23,9 @@ use prins_repl::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The sealing epoch every sender lane stamps (pipeline's `LANE_EPOCH`).
-const LANE_EPOCH: u64 = 1;
+/// The epoch a fresh `ReplicaLink` seals under. A link opens a new
+/// epoch only after a failure, which these runs never hit.
+const FIRST_EPOCH: u64 = 1;
 
 /// Records every sent frame and acks each one unconditionally.
 struct RecordingTransport {
@@ -51,7 +52,7 @@ impl Transport for RecordingTransport {
     }
 
     fn recv(&self) -> Result<Vec<u8>, NetError> {
-        Ok(encode_ack(ACK, LANE_EPOCH))
+        Ok(encode_ack(ACK, FIRST_EPOCH))
     }
 
     fn recv_timeout(&self, _timeout: Duration) -> Result<Vec<u8>, NetError> {
@@ -151,7 +152,7 @@ fn per_write_frames_match_classic_seal_path() {
         let (frames, payloads, primary) = run_engine(mode, 1, 48, true);
         assert_eq!(frames.len(), payloads.len());
         for (i, (frame, payload)) in frames.iter().zip(&payloads).enumerate() {
-            let expected = seal_frame(LANE_EPOCH, payload);
+            let expected = seal_frame(FIRST_EPOCH, payload);
             assert_eq!(frame, &expected, "{mode:?}: frame {i} diverged");
         }
         assert_eq!(replay(&frames), primary, "{mode:?}: applier state diverged");
@@ -170,7 +171,7 @@ fn batch_sealed_frames_match_classic_batch_assembly() {
             payloads: group.to_vec(),
         }
         .to_bytes();
-        let expected = seal_frame(LANE_EPOCH, &inner);
+        let expected = seal_frame(FIRST_EPOCH, &inner);
         assert_eq!(frame, &expected, "batched frame {i} diverged");
     }
     assert_eq!(replay(&frames), primary, "applier state diverged");
