@@ -55,6 +55,11 @@ if prod_lines | grep -E 'AtomicU64|Option<(PipeObs|ClusterObs|EcObs|ShardObs)>';
 fi
 cargo build --release
 cargo bench --workspace --no-run     # criterion benches must keep compiling
+# Every example is a runnable end-to-end check (each asserts its own
+# result), so run them all: an example that stops working fails here.
+for example in point_in_time_recovery queueing_analysis quickstart raid_tap tpcc_mirror wan_mirror; do
+    cargo run -q --release --example "$example" > /dev/null
+done
 # Cap test parallelism: the pipeline/cluster suites spawn their own
 # worker and replica threads, so unbounded test threads oversubscribe
 # CI boxes and turn timing-tolerant tests flaky.

@@ -24,7 +24,7 @@
 //!
 //! Rebuilding a lost strip reads exactly `k` surviving strips (not
 //! `n - 1`, and never a full logical image): each survivor answers a
-//! strip-read request with a zero-run-encoded image, the codec
+//! read request with a zero-run-encoded image of its strip, the codec
 //! reconstructs the lost strip, and the replacement receives it as a
 //! coefficient-1 delta over its zeroed disk — also sparse. Wire bytes
 //! per stripe are therefore bounded by roughly `(k + 1)/k` times the
@@ -39,7 +39,7 @@ use prins_block::{BlockDevice, Lba};
 use prins_net::{Clock, Transport, WallClock};
 use prins_obs::{Counter, Event, EventKind, Histogram, Registry, TraceSink, TraceStage};
 use prins_parity::{ErasureCodec, SparseCodec};
-use prins_repl::{encode_strip_request, Payload, ReplError, ReplicaLink, Response};
+use prins_repl::{encode_read_request, Payload, ReplError, ReplicaLink, Response};
 
 use crate::tracer::Tracer;
 use crate::ClusterError;
@@ -139,7 +139,7 @@ pub struct EcWriteOutcome {
 pub struct EcRebuildReport {
     /// Stripes reconstructed onto the replacement node.
     pub stripes: u64,
-    /// Wire bytes moved: strip-read requests, survivor images, and
+    /// Wire bytes moved: read requests, survivor images, and
     /// rebuilt strip shipments.
     pub wire_bytes: u64,
     /// Sum of the k surviving strips' *dense* image bytes per stripe —
@@ -445,13 +445,13 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
         self.check_idx(node)?;
         let (sparse, bs) = (self.sparse, self.block_size);
         let link = &mut self.nodes[node].link;
-        let sent = link.send(&encode_strip_request(Lba(stripe)), &mut self.frame, ())?;
+        let sent = link.send(&encode_read_request(Lba(stripe)), &mut self.frame, ())?;
         let answer = link
             .collect(self.config.ack_timeout, |answer| match answer {
-                Response::Strip(image) => Some(sparse.decode(image, bs)),
+                Response::Read(image) => Some(sparse.decode(image, bs)),
                 _ => None,
             })
-            .expect("the strip request is in flight");
+            .expect("the read request is in flight");
         let strip = answer.result?.map_err(ReplError::from)?.to_dense(bs);
         Ok((strip, (sent + answer.received) as u64))
     }
@@ -635,16 +635,14 @@ mod tests {
     }
 
     /// Spawns one strip-holder thread per node, each running the
-    /// stock replica loop with an RS-codec applier in strict sealed
-    /// mode — the same loop mirroring replicas run.
+    /// stock replica loop with an RS-codec applier — the same loop
+    /// mirroring replicas run.
     fn spawn_node(stripes: u64) -> (Box<dyn Transport>, Arc<MemDevice>, NodeWorker) {
         let (primary_side, node_side) = channel_pair(LinkModel::t1());
         let device = Arc::new(MemDevice::new(BlockSize::kb4(), stripes));
         let dev = Arc::clone(&device);
         let worker = std::thread::spawn(move || {
-            let applier = ReplicaApplier::new(&*dev)
-                .with_codec(Box::new(ReedSolomon::k4m2()))
-                .require_sealed(true);
+            let applier = ReplicaApplier::new(&*dev).with_codec(Box::new(ReedSolomon::k4m2()));
             run_replica_applier(applier, &node_side)
         });
         (Box::new(primary_side), device, worker)

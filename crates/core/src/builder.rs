@@ -3,7 +3,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use prins_block::{BlockDevice, Lba};
+use prins_block::BlockDevice;
 use prins_net::{Clock, Transport, WallClock};
 use prins_obs::Registry;
 use prins_policy::{AdaptiveReplicator, PolicyConfig, WorkloadPhase};
@@ -42,7 +42,6 @@ use crate::PrinsEngine;
 pub struct EngineBuilder {
     device: Arc<dyn BlockDevice>,
     mode: ReplicationMode,
-    replicator: Option<Arc<dyn Replicator>>,
     adaptive: Option<PolicyConfig>,
     replicas: Vec<Box<dyn Transport>>,
     ack_policy: AckPolicy,
@@ -58,7 +57,6 @@ impl EngineBuilder {
         Self {
             device,
             mode: ReplicationMode::Prins,
-            replicator: None,
             adaptive: None,
             replicas: Vec::new(),
             ack_policy: AckPolicy::PerWrite,
@@ -75,23 +73,13 @@ impl EngineBuilder {
         self
     }
 
-    /// Overrides the replicator instance: every write is encoded by
-    /// `replicator` instead of the static strategy named by
-    /// [`mode`](Self::mode). Payload tags are self-describing, so any
-    /// mix of strategies applies cleanly at the replica.
-    pub fn replicator(mut self, replicator: Arc<dyn Replicator>) -> Self {
-        self.replicator = Some(replicator);
-        self
-    }
-
     /// Drives replication with the adaptive policy engine
     /// ([`AdaptiveReplicator`]): per-region strategy selection plus live
     /// retuning of [`batch_frames`](Self::batch_frames) and
     /// [`coalesce`](Self::coalesce) on workload-phase transitions (the
     /// values configured here become the `Mixed`-phase baseline).
     /// Decision and counterfactual counters register under `policy_*`
-    /// in the engine's registry. Overrides
-    /// [`mode`](Self::mode) and [`replicator`](Self::replicator).
+    /// in the engine's registry. Overrides [`mode`](Self::mode).
     pub fn adaptive(mut self, config: PolicyConfig) -> Self {
         self.adaptive = Some(config);
         self
@@ -238,10 +226,7 @@ impl EngineBuilder {
         let adaptive = self
             .adaptive
             .map(|cfg| Arc::new(AdaptiveReplicator::with_registry(cfg, &registry)));
-        let replicator = adaptive
-            .clone()
-            .map(|a| a as Arc<dyn Replicator>)
-            .or(self.replicator);
+        let replicator = adaptive.clone().map(|a| a as Arc<dyn Replicator>);
         let base_batch = config.batch_frames.max(1);
         let base_coalesce = config.coalesce;
         let obs = PipeObs::new(registry, observed, self.replicas.len());
@@ -284,10 +269,10 @@ impl EngineBuilder {
     }
 }
 
-/// Pushes a full image of `device` to every replica, ending with a sync
-/// marker, and hands the transports back. Up to `window` frames ride
-/// unacknowledged per replica, so the bulk transfer pipelines instead
-/// of stalling one round-trip per block. Every link is fresh and ends
+/// Pushes a full image of `device` to every replica and hands the
+/// transports back. Up to `window` frames ride unacknowledged per
+/// replica, so the bulk transfer pipelines instead of stalling one
+/// round-trip per block. Every link is fresh and ends
 /// with nothing in flight, so the lanes that take the transports over
 /// start at the same epoch.
 fn initial_sync(
@@ -303,16 +288,10 @@ fn initial_sync(
         .collect();
     let mut block = vec![0u8; device.geometry().block_size().bytes()];
     let mut frame = Vec::with_capacity(block.len() + 32);
-    for lba in device.geometry().range().iter().map(Some).chain([None]) {
-        if let Some(lba) = lba {
-            device.read_block(lba, &mut block)?;
-        }
+    for lba in device.geometry().range().iter() {
+        device.read_block(lba, &mut block)?;
         for link in &mut links {
-            let write = |out: &mut Vec<u8>| match lba {
-                Some(lba) => Payload::write_full(out, lba, &block),
-                None => Payload::write_sync_marker(out, Lba(0)),
-            };
-            link.send_with(&mut frame, write, ())?;
+            link.send_with(&mut frame, |out| Payload::write_full(out, lba, &block), ())?;
             while link.in_flight() > window {
                 link.collect_ack(timeout)
                     .expect("a frame is in flight")

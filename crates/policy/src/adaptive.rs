@@ -537,7 +537,7 @@ impl Replicator for AdaptiveReplicator {
 mod tests {
     use super::*;
     use prins_block::{BlockDevice, BlockSize, MemDevice};
-    use prins_repl::ReplicaApplier;
+    use prins_repl::{seal_frame, ReplicaApplier};
     use rand::{RngExt, SeedableRng};
     use std::collections::HashMap;
     use std::sync::{Arc, Mutex};
@@ -563,7 +563,7 @@ mod tests {
             new[(i as usize) * 31] ^= 0x5a;
             let wire = adaptive.encode_write(Lba(1), &old, &new);
             assert!(wire.len() < 32, "tiny delta shipped {} bytes", wire.len());
-            applier.apply(&wire).unwrap();
+            applier.handle(&seal_frame(1, &wire)).unwrap();
             assert_eq!(replica.read_block_vec(Lba(1)).unwrap(), new);
             old = new;
         }
@@ -700,7 +700,7 @@ mod tests {
                     }
                 };
                 let wire = adaptive.encode_write(lba, &old, &new);
-                applier.apply(&wire).unwrap();
+                applier.handle(&seal_frame(1, &wire)).unwrap();
                 assert_eq!(replica.read_block_vec(lba).unwrap(), new, "zone {zone}");
                 images.insert(lba.index(), new);
             }

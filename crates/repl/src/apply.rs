@@ -7,26 +7,22 @@ use prins_compress::{Codec, Lzss};
 use prins_parity::{ErasureCodec, SparseCodec, XorCodec};
 
 use crate::{
-    decode_digest_request, decode_read_request, decode_strip_request, is_digest_request,
-    is_read_request, is_strip_request, open_frame, BatchFrame, Payload, PayloadBody, ReplError,
-    SEAL_TAG,
+    decode_digest_request, decode_read_request, open_frame, BatchFrame, Payload, PayloadBody,
+    ReplError, BATCH_TAG, DIGEST_REQ_TAG, READ_REQ_TAG,
 };
 
 /// What [`ReplicaApplier::handle`] did with an incoming frame, telling
 /// the transport loop which response to send.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Applied {
-    /// A replication frame was applied (`true`) or was a sync marker
-    /// (`false`); answer with an ACK.
-    Data(bool),
+    /// Every payload of the frame was applied; answer with an ACK.
+    Data,
     /// A scrub digest probe; answer with a digest ack carrying this
     /// CRC32C of the probed block as read from the replica's disk.
     Digest(u32),
-    /// A rebuild strip read; answer with a strip ack carrying this
-    /// zero-run-encoded image of the requested block.
-    Strip(Vec<u8>),
-    /// An offloaded block read; answer with a read ack carrying this
-    /// zero-run-encoded image of the requested block.
+    /// A block read (an offloaded read or a rebuild's strip read);
+    /// answer with a read ack carrying this zero-run-encoded image of
+    /// the requested block.
     Read(Vec<u8>),
 }
 
@@ -40,10 +36,11 @@ pub enum Applied {
 ///
 /// # Integrity
 ///
-/// Sealed frames (see [`crate::seal_frame`]) are opened transparently:
-/// the CRC32C is verified *before* anything is parsed or written, and
-/// the frame's epoch is remembered (see [`last_epoch`]) so the
-/// transport loop can echo it in acknowledgements.
+/// Every frame arrives sealed (see [`crate::seal_frame`] for the
+/// grammar): the CRC32C is verified *before* anything is parsed or
+/// written, and the frame's epoch is remembered (see [`last_epoch`]) so
+/// the transport loop can echo it in acknowledgements. A frame that does
+/// not open as a seal is rejected like a damaged one.
 ///
 /// The applier also keeps a per-LBA checksum table of every block it
 /// has written. Before a parity frame XORs against `A_old`, the table
@@ -60,7 +57,6 @@ pub struct ReplicaApplier<D> {
     codec: Box<dyn ErasureCodec>,
     applied: u64,
     last_epoch: u64,
-    require_sealed: bool,
     checksums: HashMap<u64, u32>,
     /// Recycled block buffer for the backward computation — one device
     /// block, reused across applies so the steady-state parity path
@@ -82,7 +78,6 @@ impl<D: BlockDevice> ReplicaApplier<D> {
             codec: Box::new(XorCodec::mirror()),
             applied: 0,
             last_epoch: 0,
-            require_sealed: false,
             checksums: HashMap::new(),
             scratch: Vec::new(),
         }
@@ -98,19 +93,7 @@ impl<D: BlockDevice> ReplicaApplier<D> {
         self
     }
 
-    /// Requires every top-level frame to arrive sealed.
-    ///
-    /// Without this, a bit flip that happens to hit the seal tag byte
-    /// would make the frame look unsealed and skip verification; a
-    /// strict applier rejects such frames outright. Turn it on wherever
-    /// the sender is known to seal (the pipelined engine lanes and the
-    /// cluster always do).
-    pub fn require_sealed(mut self, on: bool) -> Self {
-        self.require_sealed = on;
-        self
-    }
-
-    /// Number of write payloads applied so far (sync markers excluded).
+    /// Number of write payloads applied so far.
     pub fn applied(&self) -> u64 {
         self.applied
     }
@@ -134,82 +117,47 @@ impl<D: BlockDevice> ReplicaApplier<D> {
         Ok(crc32c(&self.device.read_block_vec(lba)?))
     }
 
-    /// Decodes and applies one message — a bare payload or a
-    /// [`BatchFrame`] (whose inner payloads are applied in order).
-    /// Returns `true` for data payloads and `false` for the end-of-sync
-    /// marker (an empty batch also returns `false`).
+    /// Opens one sealed frame, dispatches on its body and says how to
+    /// respond: a [`BatchFrame`]'s payloads or a single payload are
+    /// applied in order, a digest or read request is served from disk.
     ///
-    /// A batch is *not* atomic: a malformed or rejected inner payload
-    /// aborts the batch with earlier payloads already applied — exactly
-    /// the state a reconnecting primary reconciles anyway.
+    /// A batch is *not* atomic: a malformed or rejected payload aborts
+    /// the batch with earlier payloads already applied — exactly the
+    /// state a reconnecting primary reconciles anyway. A batch holds
+    /// plain payloads only; a nested batch or request is malformed.
     ///
     /// # Errors
     ///
+    /// * [`ReplError::ChecksumMismatch`] for a frame that fails its seal
+    ///   check or is not sealed at all, and for a parity or read whose
+    ///   on-disk base no longer matches the checksum table — answer
+    ///   those with `NAK_CORRUPT` so the sender retransmits,
     /// * [`ReplError::Malformed`] / [`ReplError::Parity`] /
-    ///   [`ReplError::Compress`] on undecodable payloads,
+    ///   [`ReplError::Compress`] on undecodable bodies,
     /// * [`ReplError::Block`] if the local device rejects the write.
-    pub fn apply(&mut self, payload_bytes: &[u8]) -> Result<bool, ReplError> {
-        match self.handle(payload_bytes)? {
-            Applied::Data(any) => Ok(any),
-            Applied::Digest(_) | Applied::Strip(_) | Applied::Read(_) => Err(ReplError::Malformed(
-                "read request on the apply-only path".into(),
-            )),
-        }
-    }
-
-    /// Dispatches one incoming frame — sealed or bare, replication
-    /// payload or scrub digest probe — and says how to respond.
-    ///
-    /// This is what transport loops should call; [`apply`](Self::apply)
-    /// is the data-only subset.
-    ///
-    /// # Errors
-    ///
-    /// As [`apply`](Self::apply), plus [`ReplError::ChecksumMismatch`]
-    /// for frames that fail their seal check (or arrive unsealed while
-    /// [`require_sealed`](Self::require_sealed) is on) — answer those
-    /// with `NAK_CORRUPT` so the sender retransmits.
     pub fn handle(&mut self, frame: &[u8]) -> Result<Applied, ReplError> {
-        let sealed = frame.first() == Some(&SEAL_TAG);
-        let inner = if sealed {
-            let (epoch, inner) = open_frame(frame)?;
-            self.last_epoch = epoch;
-            inner
-        } else {
-            frame
-        };
-        if is_digest_request(inner) {
-            let lba = decode_digest_request(inner)?;
-            return Ok(Applied::Digest(self.digest(lba)?));
+        let (epoch, body) = open_frame(frame)?;
+        self.last_epoch = epoch;
+        match body.first() {
+            Some(&DIGEST_REQ_TAG) => {
+                let lba = decode_digest_request(body)?;
+                Ok(Applied::Digest(self.digest(lba)?))
+            }
+            Some(&READ_REQ_TAG) => {
+                let lba = decode_read_request(body)?;
+                Ok(Applied::Read(self.strip_image(lba)?))
+            }
+            Some(&BATCH_TAG) => {
+                for payload in &BatchFrame::from_bytes(body)?.payloads {
+                    self.apply_payload(payload)?;
+                }
+                Ok(Applied::Data)
+            }
+            _ => self.apply_payload(body).map(|()| Applied::Data),
         }
-        if is_strip_request(inner) {
-            let lba = decode_strip_request(inner)?;
-            return Ok(Applied::Strip(self.strip_image(lba)?));
-        }
-        if is_read_request(inner) {
-            let lba = decode_read_request(inner)?;
-            return Ok(Applied::Read(self.strip_image(lba)?));
-        }
-        if self.require_sealed && !sealed {
-            return Err(ReplError::ChecksumMismatch {
-                expected: 0,
-                got: crc32c(frame),
-            });
-        }
-        // A seal's CRC already vouched for the inner frame; apply it
-        // without requiring a second (nested) seal.
-        self.apply_inner(inner).map(Applied::Data)
     }
 
-    fn apply_inner(&mut self, payload_bytes: &[u8]) -> Result<bool, ReplError> {
-        if BatchFrame::is_batch(payload_bytes) {
-            let frame = BatchFrame::from_bytes(payload_bytes)?;
-            let mut any_data = false;
-            for inner in &frame.payloads {
-                any_data |= self.apply_inner(inner)?;
-            }
-            return Ok(any_data);
-        }
+    fn apply_payload(&mut self, payload_bytes: &[u8]) -> Result<(), ReplError> {
         let payload = Payload::from_bytes(payload_bytes)?;
         let bs = self.device.geometry().block_size().bytes();
         match payload.body {
@@ -235,10 +183,9 @@ impl<D: BlockDevice> ReplicaApplier<D> {
             PayloadBody::StripDelta { coeff, data } => {
                 self.apply_strip_delta(payload.lba, coeff, &data)?;
             }
-            PayloadBody::SyncMarker => return Ok(false),
         }
         self.applied += 1;
-        Ok(true)
+        Ok(())
     }
 
     fn write_checked(&mut self, lba: Lba, block: &[u8]) -> Result<(), ReplError> {
@@ -319,7 +266,9 @@ impl<D> std::fmt::Debug for ReplicaApplier<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CompressedReplicator, PrinsReplicator, Replicator, TraditionalReplicator};
+    use crate::{
+        seal_frame, CompressedReplicator, PrinsReplicator, Replicator, TraditionalReplicator,
+    };
     use prins_block::{BlockSize, MemDevice};
     use rand::{RngExt, SeedableRng};
 
@@ -352,7 +301,10 @@ mod tests {
         let mut applier = ReplicaApplier::new(&replica);
         for (lba, old, new) in &writes {
             let payload = replicator.encode_write(*lba, old, new);
-            assert!(applier.apply(&payload).unwrap());
+            assert_eq!(
+                applier.handle(&seal_frame(1, &payload)).unwrap(),
+                Applied::Data
+            );
             assert_eq!(&replica.read_block_vec(*lba).unwrap(), new);
         }
         assert_eq!(applier.applied(), writes.len() as u64);
@@ -379,18 +331,6 @@ mod tests {
     }
 
     #[test]
-    fn sync_marker_returns_false() {
-        let replica = MemDevice::new(BlockSize::kb4(), 4);
-        let mut applier = ReplicaApplier::new(&replica);
-        let marker = Payload {
-            lba: Lba(0),
-            body: PayloadBody::SyncMarker,
-        };
-        assert!(!applier.apply(&marker.to_bytes()).unwrap());
-        assert_eq!(applier.applied(), 0);
-    }
-
-    #[test]
     fn wrong_block_size_parity_is_rejected() {
         let replica = MemDevice::new(BlockSize::kb4(), 4);
         let mut applier = ReplicaApplier::new(&replica);
@@ -399,7 +339,10 @@ mod tests {
         let mut new = old;
         new[100..132].fill(1); // sparse change → parity payload
         let payload = PrinsReplicator::new().encode_write(Lba(0), &old, &new);
-        assert!(matches!(applier.apply(&payload), Err(ReplError::Parity(_))));
+        assert!(matches!(
+            applier.handle(&seal_frame(1, &payload)),
+            Err(ReplError::Parity(_))
+        ));
     }
 
     #[test]
@@ -407,14 +350,20 @@ mod tests {
         let replica = MemDevice::new(BlockSize::kb4(), 4);
         let mut applier = ReplicaApplier::new(&replica);
         let payload = TraditionalReplicator.encode_write(Lba(99), &[0u8; 4096], &[1u8; 4096]);
-        assert!(matches!(applier.apply(&payload), Err(ReplError::Block(_))));
+        assert!(matches!(
+            applier.handle(&seal_frame(1, &payload)),
+            Err(ReplError::Block(_))
+        ));
     }
 
     #[test]
     fn garbage_payload_is_rejected() {
         let replica = MemDevice::new(BlockSize::kb4(), 4);
         let mut applier = ReplicaApplier::new(&replica);
-        assert!(applier.apply(&[200, 1, 2, 3]).is_err());
+        assert!(matches!(
+            applier.handle(&seal_frame(1, &[200, 1, 2, 3])),
+            Err(ReplError::Malformed(_))
+        ));
     }
 
     #[test]
@@ -436,7 +385,10 @@ mod tests {
                 TraditionalReplicator.encode_write(Lba(0), &a, &b),
             ],
         };
-        assert!(applier.apply(&frame.to_bytes()).unwrap());
+        assert_eq!(
+            applier.handle(&seal_frame(1, &frame.to_bytes())).unwrap(),
+            Applied::Data
+        );
         assert_eq!(applier.applied(), 3);
         assert_eq!(replica.read_block_vec(Lba(2)).unwrap(), c);
         assert_eq!(replica.read_block_vec(Lba(0)).unwrap(), b);
@@ -446,29 +398,33 @@ mod tests {
     fn empty_batch_counts_as_no_data() {
         let replica = MemDevice::new(BlockSize::kb4(), 4);
         let mut applier = ReplicaApplier::new(&replica);
-        assert!(!applier.apply(&BatchFrame::default().to_bytes()).unwrap());
+        let empty = seal_frame(1, &BatchFrame::default().to_bytes());
+        assert_eq!(applier.handle(&empty).unwrap(), Applied::Data);
         assert_eq!(applier.applied(), 0);
     }
 
     #[test]
     fn sealed_frames_open_transparently_and_track_epoch() {
         let replica = MemDevice::new(BlockSize::kb4(), 4);
-        let mut applier = ReplicaApplier::new(&replica).require_sealed(true);
+        let mut applier = ReplicaApplier::new(&replica);
         let inner = TraditionalReplicator.encode_write(Lba(1), &[0u8; 4096], &[5u8; 4096]);
-        assert!(applier.apply(&crate::seal_frame(9, &inner)).unwrap());
+        assert_eq!(
+            applier.handle(&seal_frame(9, &inner)).unwrap(),
+            Applied::Data
+        );
         assert_eq!(applier.last_epoch(), 9);
         assert_eq!(replica.read_block_vec(Lba(1)).unwrap(), vec![5u8; 4096]);
-        // Strict mode rejects bare frames with a checksum error (so the
+        // Bare frames are rejected with a checksum error (so the
         // transport loop answers NAK_CORRUPT, not a fatal NAK).
         assert!(matches!(
-            applier.apply(&inner),
+            applier.handle(&inner),
             Err(ReplError::ChecksumMismatch { .. })
         ));
         // A corrupted seal is rejected before anything is applied.
-        let mut damaged = crate::seal_frame(10, &inner);
+        let mut damaged = seal_frame(10, &inner);
         let last = damaged.len() - 1;
         damaged[last] ^= 0x04;
-        assert!(applier.apply(&damaged).is_err());
+        assert!(applier.handle(&damaged).is_err());
         assert_eq!(applier.last_epoch(), 9);
         assert_eq!(applier.applied(), 1);
     }
@@ -481,9 +437,9 @@ mod tests {
         let a = vec![0u8; 4096];
         let mut b = a.clone();
         b[100..140].fill(3);
-        assert!(applier
-            .apply(&replicator.encode_write(Lba(2), &a, &b))
-            .unwrap());
+        applier
+            .handle(&seal_frame(1, &replicator.encode_write(Lba(2), &a, &b)))
+            .unwrap();
         // Simulate media corruption behind the applier's back.
         let mut damaged = b.clone();
         damaged[0] ^= 0x80;
@@ -491,7 +447,7 @@ mod tests {
         let mut c = b.clone();
         c[120..160].fill(8);
         let err = applier
-            .apply(&replicator.encode_write(Lba(2), &b, &c))
+            .handle(&seal_frame(1, &replicator.encode_write(Lba(2), &b, &c)))
             .unwrap_err();
         assert!(matches!(err, ReplError::ChecksumMismatch { .. }), "{err}");
         // The corrupted base was never XORed into a fabricated state.
@@ -503,9 +459,8 @@ mod tests {
         let replica = MemDevice::new(BlockSize::kb4(), 4);
         let mut applier = ReplicaApplier::new(&replica);
         let block = vec![7u8; 4096];
-        applier
-            .apply(&TraditionalReplicator.encode_write(Lba(0), &[0u8; 4096], &block))
-            .unwrap();
+        let write = TraditionalReplicator.encode_write(Lba(0), &[0u8; 4096], &block);
+        applier.handle(&seal_frame(1, &write)).unwrap();
         assert_eq!(applier.digest(Lba(0)).unwrap(), prins_block::crc32c(&block));
         let mut damaged = block.clone();
         damaged[9] ^= 1;
@@ -539,7 +494,10 @@ mod tests {
                 data: sparse,
             },
         };
-        assert!(applier.apply(&payload.to_bytes()).unwrap());
+        assert_eq!(
+            applier.handle(&seal_frame(1, &payload.to_bytes())).unwrap(),
+            Applied::Data
+        );
         let got = replica.read_block_vec(Lba(1)).unwrap();
         let want: Vec<u8> = delta.iter().map(|&d| prins_ec::gf::mul(coeff, d)).collect();
         assert_eq!(got, want);
@@ -560,39 +518,8 @@ mod tests {
             },
         };
         assert!(matches!(
-            applier.apply(&payload.to_bytes()),
+            applier.handle(&seal_frame(1, &payload.to_bytes())),
             Err(ReplError::Malformed(_))
-        ));
-    }
-
-    #[test]
-    fn strip_request_returns_the_disk_image() {
-        let replica = MemDevice::new(BlockSize::kb4(), 4);
-        let mut applier = ReplicaApplier::new(&replica);
-        let mut block = vec![0u8; 4096];
-        block[40..80].fill(0x5a);
-        applier
-            .apply(&TraditionalReplicator.encode_write(Lba(2), &[0u8; 4096], &block))
-            .unwrap();
-        let req = crate::encode_strip_request(Lba(2));
-        // Both sealed and bare requests answer with the sparse image.
-        for frame in [crate::seal_frame(4, &req), req] {
-            match applier.handle(&frame).unwrap() {
-                Applied::Strip(sparse) => {
-                    let dense = applier.sparse.decode(&sparse, 4096).unwrap().to_dense(4096);
-                    assert_eq!(dense, block);
-                    assert!(sparse.len() < 200, "zero runs are elided");
-                }
-                other => panic!("expected strip image, got {other:?}"),
-            }
-        }
-        // A corrupted base is refused, not served.
-        let mut damaged = block.clone();
-        damaged[50] ^= 0x10;
-        replica.write_block(Lba(2), &damaged).unwrap();
-        assert!(matches!(
-            applier.handle(&crate::encode_strip_request(Lba(2))),
-            Err(ReplError::ChecksumMismatch { .. })
         ));
     }
 
@@ -602,26 +529,29 @@ mod tests {
         let mut applier = ReplicaApplier::new(&replica);
         let mut block = vec![0u8; 4096];
         block[128..192].fill(0xa7);
-        applier
-            .apply(&TraditionalReplicator.encode_write(Lba(1), &[0u8; 4096], &block))
-            .unwrap();
+        let write = TraditionalReplicator.encode_write(Lba(1), &[0u8; 4096], &block);
+        applier.handle(&seal_frame(1, &write)).unwrap();
         let req = crate::encode_read_request(Lba(1));
-        for frame in [crate::seal_frame(3, &req), req] {
-            match applier.handle(&frame).unwrap() {
-                Applied::Read(sparse) => {
-                    let dense = applier.sparse.decode(&sparse, 4096).unwrap().to_dense(4096);
-                    assert_eq!(dense, block);
-                }
-                other => panic!("expected read image, got {other:?}"),
+        match applier.handle(&seal_frame(3, &req)).unwrap() {
+            Applied::Read(sparse) => {
+                let dense = applier.sparse.decode(&sparse, 4096).unwrap().to_dense(4096);
+                assert_eq!(dense, block);
+                assert!(sparse.len() < 200, "zero runs are elided");
             }
+            other => panic!("expected read image, got {other:?}"),
         }
         assert_eq!(applier.last_epoch(), 3);
+        // A bare request is not served.
+        assert!(matches!(
+            applier.handle(&req),
+            Err(ReplError::ChecksumMismatch { .. })
+        ));
         // Media rot under the checksum table is refused, never served.
         let mut damaged = block.clone();
         damaged[130] ^= 0x02;
         replica.write_block(Lba(1), &damaged).unwrap();
         assert!(matches!(
-            applier.handle(&crate::encode_read_request(Lba(1))),
+            applier.handle(&seal_frame(4, &req)),
             Err(ReplError::ChecksumMismatch { .. })
         ));
     }
@@ -634,8 +564,44 @@ mod tests {
         let frame = BatchFrame {
             payloads: vec![good, vec![200, 1, 2]],
         };
-        assert!(applier.apply(&frame.to_bytes()).is_err());
+        assert!(applier.handle(&seal_frame(1, &frame.to_bytes())).is_err());
         // The first payload landed before the abort.
         assert_eq!(replica.read_block_vec(Lba(1)).unwrap(), vec![3u8; 4096]);
+    }
+
+    /// A batch is one flat level: a deeply nested one (sealed, so it
+    /// reaches the parser) is malformed, not a recursion that overflows
+    /// the replica thread's stack.
+    #[test]
+    fn nested_batches_are_malformed_not_recursed() {
+        let mut new = vec![0u8; 4096];
+        new[7] = 1;
+        let mut body = PrinsReplicator::new().encode_write(Lba(1), &[0u8; 4096], &new);
+        for _ in 0..10_000 {
+            body = BatchFrame {
+                payloads: vec![body],
+            }
+            .to_bytes();
+        }
+        let frame = seal_frame(1, &body);
+        let outcome = std::thread::spawn(move || {
+            let replica = MemDevice::new(BlockSize::kb4(), 4);
+            let mut applier = ReplicaApplier::new(&replica);
+            let outcome = applier.handle(&frame);
+            (
+                outcome,
+                applier.applied(),
+                replica.read_block_vec(Lba(1)).unwrap(),
+            )
+        })
+        .join()
+        .expect("the replica thread survives");
+        assert!(
+            matches!(outcome.0, Err(ReplError::Malformed(_))),
+            "{:?}",
+            outcome.0
+        );
+        assert_eq!(outcome.1, 0);
+        assert_eq!(outcome.2, vec![0u8; 4096]);
     }
 }

@@ -17,16 +17,17 @@
 //! the block — for PRINS via the backward parity computation
 //! `A_new = P' ⊕ A_old` against the replica's own copy.
 //!
-//! On the wire, every frame travels sealed and is answered by exactly
-//! one response: the replica builds it with [`encode_response`] (the
-//! loop is [`run_replica`]). The primary's end of each connection is a
+//! On the wire, every frame travels sealed ([`seal_frame`]) — the
+//! replica accepts no other shape — and is answered by exactly one
+//! response: the replica builds it with [`encode_response`] (the loop
+//! is [`run_replica`]). The primary's end of each connection is a
 //! [`ReplicaLink`], which seals every frame under its epoch and matches
 //! each answer to the frame it answers.
 //!
 //! # Example
 //!
 //! ```
-//! use prins_repl::{ReplicationMode, Replicator, ReplicaApplier};
+//! use prins_repl::{seal_frame, Applied, ReplicationMode, Replicator, ReplicaApplier};
 //! use prins_block::{BlockDevice, BlockSize, Lba, MemDevice};
 //!
 //! # fn main() -> Result<(), prins_repl::ReplError> {
@@ -42,7 +43,8 @@
 //! // Replica side: holds the old image, recovers the new one.
 //! let replica = MemDevice::new(BlockSize::kb8(), 8);
 //! replica.write_block(Lba(3), &old)?;
-//! ReplicaApplier::new(&replica).apply(&payload)?;
+//! let applied = ReplicaApplier::new(&replica).handle(&seal_frame(1, &payload))?;
+//! assert_eq!(applied, Applied::Data);
 //! assert_eq!(replica.read_block_vec(Lba(3))?, new);
 //! # Ok(())
 //! # }
@@ -66,11 +68,9 @@ pub use payload::{BatchFrame, Payload, PayloadBody, BATCH_TAG, MAX_WIRE_LEN, STR
 pub use range::SeqRange;
 pub use replica::{run_replica, run_replica_applier, serve_simulated, verify_consistent};
 pub use seal::{
-    classify_response, decode_digest_request, decode_read_request, decode_strip_request,
-    encode_ack, encode_digest_request, encode_read_request, encode_response, encode_strip_request,
-    is_digest_request, is_read_request, is_sealed, is_strip_request, open_frame,
-    seal_batch_frame_into, seal_begin, seal_frame, seal_frame_into, Response, SealWriter, ACK,
-    DIGEST_ACK, DIGEST_REQ_TAG, NAK, NAK_CORRUPT, READ_ACK, READ_REQ_TAG, SEAL_TAG, STRIP_ACK,
-    STRIP_REQ_TAG,
+    classify_response, decode_digest_request, decode_read_request, encode_ack,
+    encode_digest_request, encode_read_request, encode_response, open_frame, seal_batch_frame_into,
+    seal_begin, seal_frame, seal_frame_into, Response, SealWriter, ACK, DIGEST_ACK, DIGEST_REQ_TAG,
+    NAK, NAK_CORRUPT, READ_ACK, READ_REQ_TAG, SEAL_TAG,
 };
 pub use strategy::{CompressedReplicator, PrinsReplicator, Replicator, TraditionalReplicator};

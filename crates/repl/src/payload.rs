@@ -1,6 +1,6 @@
 //! The replication wire payload.
 //!
-//! Every replicated write is one message:
+//! Every replicated write is one payload:
 //!
 //! ```text
 //! payload := tag(u8) varint(lba) body
@@ -8,7 +8,6 @@
 //! tag 1 (Compressed):       varint(block_len) lzss bytes
 //! tag 2 (Parity):           sparse-parity bytes (self-describing)
 //! tag 3 (ParityCompressed): varint(sparse_len) lzss(sparse bytes)
-//! tag 4 (SyncMarker):       empty — end of initial sync
 //! tag 8 (StripDelta):       coeff(u8) sparse-parity bytes
 //! ```
 //!
@@ -27,11 +26,13 @@
 //! acknowledgement round-trip):
 //!
 //! ```text
-//! batch := tag(5) varint(count) { varint(len) payload-bytes }*count
+//! batch := tag(5) varint(count) { varint(len) payload }*count
 //! ```
 //!
-//! The batch tag is disjoint from the payload tags, so a receiver
-//! dispatches on the first byte.
+//! Either one travels as the body of a sealed frame (see
+//! [`crate::seal_frame`] for the whole grammar). The batch tag is
+//! disjoint from the payload tags, so the replica dispatches on the
+//! body's first byte; a batch holds payloads only, never another batch.
 
 use prins_block::Lba;
 use prins_parity::{decode_varint, encode_varint};
@@ -70,8 +71,6 @@ pub enum PayloadBody {
         /// LZSS stream.
         data: Vec<u8>,
     },
-    /// Marks the end of an initial sync stream.
-    SyncMarker,
     /// Coefficient-tagged erasure-strip delta: apply
     /// `strip ^= coeff · Δ` over GF(256).
     StripDelta {
@@ -98,7 +97,6 @@ const FULL_TAG: u8 = 0;
 const COMPRESSED_TAG: u8 = 1;
 const PARITY_TAG: u8 = 2;
 const PARITY_COMPRESSED_TAG: u8 = 3;
-const SYNC_MARKER_TAG: u8 = 4;
 
 fn write_header(out: &mut Vec<u8>, tag: u8, lba: Lba) {
     out.push(tag);
@@ -137,11 +135,6 @@ impl Payload {
         out.extend_from_slice(lzss);
     }
 
-    /// Appends a [`PayloadBody::SyncMarker`] payload.
-    pub fn write_sync_marker(out: &mut Vec<u8>, lba: Lba) {
-        write_header(out, SYNC_MARKER_TAG, lba);
-    }
-
     /// Appends the header of a [`PayloadBody::StripDelta`] payload. The
     /// caller appends the sparse delta bytes right after it.
     pub fn write_strip_delta_header(out: &mut Vec<u8>, lba: Lba, coeff: u8) {
@@ -177,10 +170,6 @@ impl Payload {
                 encode_varint(&mut out, self.lba.index());
                 encode_varint(&mut out, *sparse_len as u64);
                 out.extend_from_slice(data);
-            }
-            PayloadBody::SyncMarker => {
-                out.push(4);
-                encode_varint(&mut out, self.lba.index());
             }
             PayloadBody::StripDelta { coeff, data } => {
                 out.push(STRIP_DELTA_TAG);
@@ -233,7 +222,6 @@ impl Payload {
                     data: rest[used..].to_vec(),
                 }
             }
-            4 => PayloadBody::SyncMarker,
             STRIP_DELTA_TAG => {
                 let (&coeff, rest) = rest
                     .split_first()
@@ -252,11 +240,11 @@ impl Payload {
     }
 }
 
-/// Wire tag of a [`BatchFrame`] (the payload tags are 0–4).
+/// Wire tag of a [`BatchFrame`] (the payload tags are 0–3 and 8).
 pub const BATCH_TAG: u8 = 5;
 
-/// Wire tag of a [`PayloadBody::StripDelta`] payload (6, 7 and 9 are
-/// the seal, digest-request and strip-request envelope tags).
+/// Wire tag of a [`PayloadBody::StripDelta`] payload (6, 7 and 10 are
+/// the seal, digest-request and read-request tags).
 pub const STRIP_DELTA_TAG: u8 = 8;
 
 /// Several serialized payloads packed into a single wire message.
@@ -272,11 +260,6 @@ pub struct BatchFrame {
 }
 
 impl BatchFrame {
-    /// Whether `bytes` starts like a batch frame (vs a bare payload).
-    pub fn is_batch(bytes: &[u8]) -> bool {
-        bytes.first() == Some(&BATCH_TAG)
-    }
-
     /// Serializes the frame.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out =
@@ -369,10 +352,6 @@ mod tests {
                 },
             },
             Payload {
-                lba: Lba(0),
-                body: PayloadBody::SyncMarker,
-            },
-            Payload {
                 lba: Lba(42),
                 body: PayloadBody::StripDelta {
                     coeff: 0x8e,
@@ -393,7 +372,11 @@ mod tests {
     #[test]
     fn rejects_empty_and_unknown_tag() {
         assert!(Payload::from_bytes(&[]).is_err());
-        assert!(Payload::from_bytes(&[9, 0]).is_err());
+        // Unused tags and the batch, seal and request tags are not
+        // payloads.
+        for tag in [4, 5, 6, 7, 9, 10] {
+            assert!(Payload::from_bytes(&[tag, 0]).is_err(), "tag {tag}");
+        }
     }
 
     #[test]
@@ -422,15 +405,14 @@ mod tests {
             ],
         };
         let bytes = frame.to_bytes();
-        assert!(BatchFrame::is_batch(&bytes));
+        assert_eq!(bytes[0], BATCH_TAG);
         assert_eq!(BatchFrame::from_bytes(&bytes).unwrap(), frame);
         // A bare payload is not mistaken for a batch.
         let bare = Payload {
             lba: Lba(0),
-            body: PayloadBody::SyncMarker,
+            body: PayloadBody::Parity(vec![1]),
         }
         .to_bytes();
-        assert!(!BatchFrame::is_batch(&bare));
         assert!(BatchFrame::from_bytes(&bare).is_err());
     }
 
@@ -449,15 +431,14 @@ mod tests {
 
     proptest! {
         #[test]
-        fn prop_roundtrip(lba in any::<u64>(), tag in 0u8..6,
+        fn prop_roundtrip(lba in any::<u64>(), tag in 0u8..5,
                           n in 0usize..256, data in proptest::collection::vec(any::<u8>(), 0..256)) {
             let body = match tag {
                 0 => PayloadBody::Full(data),
                 1 => PayloadBody::Compressed { block_len: n, data },
                 2 => PayloadBody::Parity(data),
                 3 => PayloadBody::ParityCompressed { sparse_len: n, data },
-                4 => PayloadBody::StripDelta { coeff: n as u8, data },
-                _ => PayloadBody::SyncMarker,
+                _ => PayloadBody::StripDelta { coeff: n as u8, data },
             };
             let p = Payload { lba: Lba(lba), body };
             prop_assert_eq!(Payload::from_bytes(&p.to_bytes()).unwrap(), p);
@@ -466,7 +447,7 @@ mod tests {
         /// The append-writers produce the reference `to_bytes` encoding
         /// of every body, after whatever the buffer already holds.
         #[test]
-        fn prop_writers_match_to_bytes(lba in any::<u64>(), tag in 0u8..6,
+        fn prop_writers_match_to_bytes(lba in any::<u64>(), tag in 0u8..5,
                                        n in 0usize..256, data in proptest::collection::vec(any::<u8>(), 0..256)) {
             let mut got = vec![0xC3u8];
             let l = Lba(lba);
@@ -475,8 +456,7 @@ mod tests {
                 1 => { Payload::write_compressed(&mut got, l, n, &data); PayloadBody::Compressed { block_len: n, data } }
                 2 => { Payload::write_parity_header(&mut got, l); got.extend_from_slice(&data); PayloadBody::Parity(data) }
                 3 => { Payload::write_parity_compressed(&mut got, l, n, &data); PayloadBody::ParityCompressed { sparse_len: n, data } }
-                4 => { Payload::write_strip_delta_header(&mut got, l, n as u8); got.extend_from_slice(&data); PayloadBody::StripDelta { coeff: n as u8, data } }
-                _ => { Payload::write_sync_marker(&mut got, l); PayloadBody::SyncMarker }
+                _ => { Payload::write_strip_delta_header(&mut got, l, n as u8); got.extend_from_slice(&data); PayloadBody::StripDelta { coeff: n as u8, data } }
             };
             prop_assert_eq!(got[0], 0xC3);
             let want = Payload { lba: l, body }.to_bytes();
@@ -501,7 +481,7 @@ mod tests {
                 1 => PayloadBody::Compressed { block_len: data.len(), data },
                 2 => PayloadBody::Parity(data),
                 3 => PayloadBody::ParityCompressed { sparse_len: data.len(), data },
-                _ => PayloadBody::SyncMarker,
+                _ => PayloadBody::StripDelta { coeff: 1, data },
             };
             let wire = Payload { lba: Lba(lba), body }.to_bytes();
             let keep = wire.len().saturating_sub(cut);

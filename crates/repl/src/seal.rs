@@ -1,45 +1,42 @@
-//! Sealed wire envelope: epoch tagging + CRC32C end-to-end integrity.
+//! The replica wire grammar: sealed frames in, status-tagged answers
+//! out.
 //!
 //! PRINS's backward parity computation `A_new = P' ⊕ A_old` silently
 //! fabricates garbage if either side of the XOR is wrong, so the wire
 //! format cannot rely on TCP's checksum alone (it is too weak and it
-//! ends at the NIC, not at the disk). Every frame the pipelined sender
-//! or the cluster puts on the wire is wrapped in a *seal*:
+//! ends at the NIC, not at the disk). Every frame a replica accepts is
+//! wrapped in a *seal*, and there is no other frame shape:
 //!
 //! ```text
-//! sealed := tag(6) varint(epoch) crc32c(u32 LE) inner-frame
+//! frame  := seal(epoch, body)
+//! seal   := tag(6) varint(epoch) crc32c(u32 LE) body
+//! body   := batch(payload+) | payload | digest-req | read-req
+//! batch  := tag(5) varint(count) { varint(len) payload }*count
+//! digest-req := tag(7) varint(lba)
+//! read-req   := tag(10) varint(lba)
+//! answer := status(u8) varint(epoch) [digest | crc image]
 //! ```
+//!
+//! `payload` is a single replicated write (see [`crate::Payload`]); a
+//! batch holds plain payloads only, never another batch or a request.
 //!
 //! * **epoch** — the primary's view of the replica's connection
 //!   generation. It is bumped every time the replica goes offline or
 //!   rejoins, and the replica echoes the epoch of the last sealed frame
-//!   it received in every acknowledgement. That makes stale in-flight
-//!   acks from before a rejoin *identifiable* instead of guessable —
-//!   the fix for the stale-ack resync-credit bug.
-//! * **crc32c** — covers the epoch and the entire inner frame.
-//!   Verified before the inner frame is even parsed; a failed check is
-//!   [`ReplError::ChecksumMismatch`], answered with [`NAK_CORRUPT`] so
-//!   the sender retransmits instead of tearing the link down.
+//!   it received in every answer. That makes stale in-flight answers
+//!   from before a rejoin *identifiable* instead of guessable.
+//! * **crc32c** — covers the epoch and the entire body. Verified before
+//!   the body is even parsed; a failed check, or a frame that does not
+//!   start with the seal tag at all, is [`ReplError::ChecksumMismatch`],
+//!   answered with [`NAK_CORRUPT`] so the sender retransmits instead of
+//!   tearing the link down.
 //!
-//! Acknowledgements grow the same epoch tag:
-//!
-//! ```text
-//! ack := status(u8) varint(epoch)        status ∈ {ACK, NAK, NAK_CORRUPT}
-//! digest-ack := tag(0x19) varint(epoch) crc32c(u32 LE)
-//! ```
-//!
-//! A bare `[ACK]`/`[NAK]` byte still decodes (as epoch 0) so unsealed
-//! peers keep working.
-//!
-//! The scrubber's digest probe is a third frame kind:
-//!
-//! ```text
-//! digest-req := tag(7) varint(lba)
-//! ```
-//!
-//! The replica answers with the CRC32C of the block *as read back from
-//! its disk*, which is what lets the primary detect replica-side media
-//! corruption that no wire checksum can see.
+//! The answer's status is [`ACK`], [`NAK`] or [`NAK_CORRUPT`] for a
+//! write; a digest request is answered by [`DIGEST_ACK`] with the
+//! CRC32C of the block *as read back from the replica's disk* (what lets
+//! the primary detect replica-side media corruption no wire checksum
+//! can see), a read request by [`READ_ACK`] with the block's
+//! CRC-protected zero-run-encoded image.
 
 use prins_block::{crc32c, crc32c_append, Lba};
 use prins_parity::{decode_varint, encode_varint};
@@ -51,25 +48,21 @@ pub const ACK: u8 = 0x06;
 /// Negative acknowledgement (apply failed).
 pub const NAK: u8 = 0x15;
 
-/// Wire tag of a sealed envelope (payload tags are 0–4, batch is 5).
+/// Wire tag of a sealed envelope (payload tags are 0–3 and 8, batch
+/// is 5).
 pub const SEAL_TAG: u8 = 6;
 /// Wire tag of a scrub digest request.
 pub const DIGEST_REQ_TAG: u8 = 7;
-/// Wire tag of a strip read request (rebuild path; payload tag 8 is
-/// the strip delta).
-pub const STRIP_REQ_TAG: u8 = 9;
-/// Wire tag of an offloaded block read request (serving path).
+/// Wire tag of a block read request: an offloaded read or a rebuild's
+/// strip read.
 pub const READ_REQ_TAG: u8 = 10;
 /// Acknowledgement status: frame failed its integrity check; the sender
 /// should retransmit (the frame was damaged in flight, not rejected).
 pub const NAK_CORRUPT: u8 = 0x18;
 /// Acknowledgement status of a digest response (carries a CRC32C).
 pub const DIGEST_ACK: u8 = 0x19;
-/// Acknowledgement status of a strip read response (carries the strip
-/// image, zero-run encoded).
-pub const STRIP_ACK: u8 = 0x1a;
-/// Acknowledgement status of an offloaded read response (carries the
-/// block image, zero-run encoded).
+/// Acknowledgement status of a read response (carries the block image,
+/// zero-run encoded).
 pub const READ_ACK: u8 = 0x1b;
 
 fn seal_crc(epoch: u64, inner: &[u8]) -> u32 {
@@ -167,27 +160,21 @@ pub fn seal_batch_frame_into<P: AsRef<[u8]>>(epoch: u64, payloads: &[P], out: &m
     writer.finish(out);
 }
 
-/// Whether `bytes` starts like a sealed envelope.
-pub fn is_sealed(bytes: &[u8]) -> bool {
-    bytes.first() == Some(&SEAL_TAG)
-}
-
 /// Opens a sealed envelope, returning `(epoch, inner-frame)`.
 ///
 /// # Errors
 ///
-/// * [`ReplError::Malformed`] if the envelope structure is broken,
-/// * [`ReplError::ChecksumMismatch`] if the CRC32C does not cover the
-///   bytes received — the frame was corrupted in flight.
+/// * [`ReplError::ChecksumMismatch`] if the frame does not start with
+///   [`SEAL_TAG`] or the CRC32C does not cover the bytes received — the
+///   frame was corrupted in flight (or was never sealed),
+/// * [`ReplError::Malformed`] if the envelope header is truncated.
 pub fn open_frame(bytes: &[u8]) -> Result<(u64, &[u8]), ReplError> {
-    let (&tag, rest) = bytes
-        .split_first()
-        .ok_or_else(|| ReplError::Malformed("empty sealed frame".into()))?;
-    if tag != SEAL_TAG {
-        return Err(ReplError::Malformed(format!(
-            "sealed frame tag {tag} != {SEAL_TAG}"
-        )));
-    }
+    let Some((&SEAL_TAG, rest)) = bytes.split_first() else {
+        return Err(ReplError::ChecksumMismatch {
+            expected: 0,
+            got: crc32c(bytes),
+        });
+    };
     let (epoch, used) =
         decode_varint(rest).ok_or_else(|| ReplError::Malformed("truncated seal epoch".into()))?;
     let rest = &rest[used..];
@@ -209,7 +196,7 @@ struct AckFrame {
     /// [`ACK`], [`NAK`], [`NAK_CORRUPT`] or [`DIGEST_ACK`].
     status: u8,
     /// Epoch of the last sealed frame the replica received (0 when the
-    /// replica has never seen a seal, or for bare legacy acks).
+    /// replica has never opened a seal).
     epoch: u64,
     /// Block digest, present only for [`DIGEST_ACK`] responses.
     digest: Option<u32>,
@@ -233,9 +220,7 @@ fn encode_digest_ack(epoch: u64, digest: u32) -> Vec<u8> {
     out
 }
 
-/// Decodes an acknowledgement frame in any of its shapes: bare legacy
-/// `[ACK]`/`[NAK]` (epoch 0), epoch-tagged status, or a digest
-/// response.
+/// Decodes an epoch-tagged status or a digest response.
 ///
 /// # Errors
 ///
@@ -249,14 +234,6 @@ fn decode_ack(bytes: &[u8]) -> Result<AckFrame, ReplError> {
         return Err(ReplError::Malformed(format!(
             "unknown ack status {status:#04x}"
         )));
-    }
-    if rest.is_empty() && (status == ACK || status == NAK) {
-        // Legacy single-byte acknowledgement.
-        return Ok(AckFrame {
-            status,
-            epoch: 0,
-            digest: None,
-        });
     }
     let (epoch, used) =
         decode_varint(rest).ok_or_else(|| ReplError::Malformed("truncated ack epoch".into()))?;
@@ -314,11 +291,6 @@ pub fn encode_digest_request(lba: Lba) -> Vec<u8> {
     encode_request(DIGEST_REQ_TAG, lba)
 }
 
-/// Whether `bytes` starts like a digest request.
-pub fn is_digest_request(bytes: &[u8]) -> bool {
-    bytes.first() == Some(&DIGEST_REQ_TAG)
-}
-
 /// Decodes a digest request, returning the probed LBA.
 ///
 /// # Errors
@@ -329,42 +301,18 @@ pub fn decode_digest_request(bytes: &[u8]) -> Result<Lba, ReplError> {
     decode_request(DIGEST_REQ_TAG, "digest", bytes)
 }
 
-/// Encodes a rebuild strip read request for the strip block at `lba`.
-pub fn encode_strip_request(lba: Lba) -> Vec<u8> {
-    encode_request(STRIP_REQ_TAG, lba)
-}
-
-/// Whether `bytes` starts like a strip read request.
-pub fn is_strip_request(bytes: &[u8]) -> bool {
-    bytes.first() == Some(&STRIP_REQ_TAG)
-}
-
-/// Decodes a strip read request, returning the requested strip block.
+/// Encodes a block read request for `lba`.
 ///
-/// # Errors
-///
-/// As [`decode_digest_request`].
-pub fn decode_strip_request(bytes: &[u8]) -> Result<Lba, ReplError> {
-    decode_request(STRIP_REQ_TAG, "strip", bytes)
-}
-
-/// Encodes an offloaded block read request for `lba`.
-///
-/// The serving path's twin of [`encode_strip_request`]: a primary asks
-/// an in-sync replica for the current image of a block so reads scale
-/// out across the replica set. Always sent sealed — the epoch the
-/// replica echoes back in its [`READ_ACK`] is what lets the primary
-/// reject answers computed before a rejoin.
+/// A primary asks an in-sync replica for the current image of a block
+/// so reads scale out across the replica set, and an erasure-coded
+/// group asks a survivor for its strip to rebuild a lost node. Always
+/// sent sealed — the epoch the replica echoes back in its [`READ_ACK`]
+/// is what lets the primary reject answers computed before a rejoin.
 pub fn encode_read_request(lba: Lba) -> Vec<u8> {
     encode_request(READ_REQ_TAG, lba)
 }
 
-/// Whether `bytes` starts like an offloaded read request.
-pub fn is_read_request(bytes: &[u8]) -> bool {
-    bytes.first() == Some(&READ_REQ_TAG)
-}
-
-/// Decodes an offloaded read request, returning the requested block.
+/// Decodes a read request, returning the requested block.
 ///
 /// # Errors
 ///
@@ -373,25 +321,24 @@ pub fn decode_read_request(bytes: &[u8]) -> Result<Lba, ReplError> {
     decode_request(READ_REQ_TAG, "read", bytes)
 }
 
-/// Encodes an image response — status [`READ_ACK`] or [`STRIP_ACK`]:
-/// the zero-run-encoded block image as read from the replica's disk,
-/// CRC-protected like a sealed frame so neither a served read nor a
-/// rebuild ever decodes an image damaged in flight.
+/// Encodes a read response: the zero-run-encoded block image as read
+/// from the replica's disk, CRC-protected like a sealed frame so
+/// neither a served read nor a rebuild ever decodes an image damaged in
+/// flight.
 ///
 /// ```text
-/// image-ack := status(0x1a|0x1b) varint(epoch) crc32c(u32 LE) sparse-bytes
+/// read-ack := status(0x1b) varint(epoch) crc32c(u32 LE) sparse-bytes
 /// ```
-fn encode_image_ack(status: u8, epoch: u64, sparse: &[u8]) -> Vec<u8> {
+fn encode_image_ack(epoch: u64, sparse: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(sparse.len() + 16);
-    out.push(status);
+    out.push(READ_ACK);
     encode_varint(&mut out, epoch);
     out.extend_from_slice(&seal_crc(epoch, sparse).to_le_bytes());
     out.extend_from_slice(sparse);
     out
 }
 
-/// Decodes an image response of either status, returning
-/// `(epoch, sparse-bytes)`.
+/// Decodes a read response, returning `(epoch, sparse-bytes)`.
 ///
 /// # Errors
 ///
@@ -426,10 +373,9 @@ fn decode_image_ack(bytes: &[u8]) -> Result<(u64, &[u8]), ReplError> {
 /// [`NAK`].
 pub fn encode_response(outcome: &Result<Applied, ReplError>, epoch: u64) -> Vec<u8> {
     match outcome {
-        Ok(Applied::Data(_)) => encode_ack(ACK, epoch),
+        Ok(Applied::Data) => encode_ack(ACK, epoch),
         Ok(Applied::Digest(digest)) => encode_digest_ack(epoch, *digest),
-        Ok(Applied::Strip(sparse)) => encode_image_ack(STRIP_ACK, epoch, sparse),
-        Ok(Applied::Read(sparse)) => encode_image_ack(READ_ACK, epoch, sparse),
+        Ok(Applied::Read(sparse)) => encode_image_ack(epoch, sparse),
         Err(ReplError::ChecksumMismatch { .. }) => encode_ack(NAK_CORRUPT, epoch),
         Err(_) => encode_ack(NAK, epoch),
     }
@@ -446,9 +392,6 @@ pub enum Response<'a> {
     /// The zero-run-encoded block image answering a read request
     /// ([`READ_ACK`]).
     Read(&'a [u8]),
-    /// The zero-run-encoded strip image answering a strip request
-    /// ([`STRIP_ACK`]).
-    Strip(&'a [u8]),
     /// An answer from an epoch older than the frame being collected: it
     /// belongs to a frame already booked as failed. Drop it and wait
     /// for the next one.
@@ -484,10 +427,6 @@ pub fn classify_response(
         Some(&READ_ACK) => {
             let (epoch, image) = decode_image_ack(frame)?;
             (epoch, Ok(Response::Read(image)))
-        }
-        Some(&STRIP_ACK) => {
-            let (epoch, image) = decode_image_ack(frame)?;
-            (epoch, Ok(Response::Strip(image)))
         }
         first => {
             let garbage = || ReplError::MissingAck {
@@ -526,7 +465,7 @@ mod tests {
         for epoch in [0u64, 1, 127, 128, u64::MAX] {
             let inner = vec![1u8, 2, 3, 4, 5];
             let sealed = seal_frame(epoch, &inner);
-            assert!(is_sealed(&sealed));
+            assert_eq!(sealed[0], SEAL_TAG);
             let (e, i) = open_frame(&sealed).unwrap();
             assert_eq!((e, i), (epoch, inner.as_slice()));
         }
@@ -534,8 +473,14 @@ mod tests {
 
     #[test]
     fn open_rejects_structure_and_corruption() {
-        assert!(open_frame(&[]).is_err());
-        assert!(open_frame(&[0, 1, 2]).is_err());
+        // A frame that does not start as a seal is in-flight damage (or
+        // was never sealed): answered NAK_CORRUPT, never parsed.
+        for unsealed in [&[][..], &[0, 1, 2], &[4, 0]] {
+            assert!(matches!(
+                open_frame(unsealed),
+                Err(ReplError::ChecksumMismatch { .. })
+            ));
+        }
         assert!(open_frame(&[SEAL_TAG]).is_err());
         assert!(open_frame(&[SEAL_TAG, 0x80]).is_err()); // dangling varint
         assert!(open_frame(&[SEAL_TAG, 0, 1, 2]).is_err()); // short crc
@@ -593,17 +538,6 @@ mod tests {
                 }
             );
         }
-        // Legacy bare bytes still decode as epoch 0.
-        for status in [ACK, NAK] {
-            assert_eq!(
-                decode_ack(&[status]).unwrap(),
-                AckFrame {
-                    status,
-                    epoch: 0,
-                    digest: None
-                }
-            );
-        }
         let digest = encode_digest_ack(7, 0xdead_beef);
         assert_eq!(
             decode_ack(&digest).unwrap(),
@@ -619,7 +553,10 @@ mod tests {
     fn decode_ack_rejects_garbage() {
         assert!(decode_ack(&[]).is_err());
         assert!(decode_ack(&[0x7f]).is_err());
-        assert!(decode_ack(&[NAK_CORRUPT]).is_err()); // corrupt-nak needs an epoch
+        // Every status carries an epoch; a bare status byte is garbage.
+        assert!(decode_ack(&[ACK]).is_err());
+        assert!(decode_ack(&[NAK]).is_err());
+        assert!(decode_ack(&[NAK_CORRUPT]).is_err());
         assert!(decode_ack(&[ACK, 0x80]).is_err()); // dangling varint
         assert!(decode_ack(&[ACK, 0, 9]).is_err()); // trailing byte
         assert!(decode_ack(&[DIGEST_ACK, 0, 1, 2]).is_err()); // short digest
@@ -628,7 +565,6 @@ mod tests {
     #[test]
     fn digest_request_roundtrips() {
         let req = encode_digest_request(Lba(12345));
-        assert!(is_digest_request(&req));
         assert_eq!(decode_digest_request(&req).unwrap(), Lba(12345));
         assert!(decode_digest_request(&[DIGEST_REQ_TAG]).is_err());
         assert!(decode_digest_request(&[DIGEST_REQ_TAG, 0, 0]).is_err());
@@ -636,21 +572,9 @@ mod tests {
     }
 
     #[test]
-    fn strip_request_roundtrips() {
-        let req = encode_strip_request(Lba(77));
-        assert!(is_strip_request(&req));
-        assert!(!is_digest_request(&req));
-        assert_eq!(decode_strip_request(&req).unwrap(), Lba(77));
-        assert!(decode_strip_request(&[STRIP_REQ_TAG]).is_err());
-        assert!(decode_strip_request(&[STRIP_REQ_TAG, 0, 0]).is_err());
-    }
-
-    #[test]
     fn read_request_roundtrips() {
         let req = encode_read_request(Lba(4321));
-        assert!(is_read_request(&req));
-        assert!(!is_strip_request(&req));
-        assert!(!is_digest_request(&req));
+        assert!(decode_digest_request(&req).is_err());
         assert_eq!(decode_read_request(&req).unwrap(), Lba(4321));
         assert!(decode_read_request(&[READ_REQ_TAG]).is_err());
         assert!(decode_read_request(&[READ_REQ_TAG, 0, 0]).is_err());
@@ -661,8 +585,8 @@ mod tests {
     /// the frame it answers was sealed under epoch 5.
     #[test]
     fn classifier_sorts_every_answer_shape() {
-        use Response::{Ack, Digest, Read, Stale, Strip};
-        let image = encode_image_ack(READ_ACK, 5, b"block");
+        use Response::{Ack, Digest, Read, Stale};
+        let image = encode_image_ack(5, b"block");
         let mut damaged = image.clone();
         let last = damaged.len() - 1;
         damaged[last] ^= 0x40;
@@ -671,7 +595,7 @@ mod tests {
             ("current ack", encode_ack(ACK, 5), ok(Ack)),
             ("newer ack", encode_ack(ACK, 6), ok(Ack)),
             ("stale ack", encode_ack(ACK, 4), ok(Stale)),
-            ("bare legacy ack", vec![ACK], ok(Stale)),
+            ("bare status byte", vec![ACK], Err("garbage ack")),
             ("current nak", encode_ack(NAK, 5), Err("nak")),
             ("stale nak", encode_ack(NAK, 4), ok(Stale)),
             (
@@ -693,21 +617,7 @@ mod tests {
             ),
             ("stale digest", encode_digest_ack(2, 1), ok(Stale)),
             ("read", image.clone(), ok(Read(b"block"))),
-            (
-                "stale read",
-                encode_image_ack(READ_ACK, 4, b"old"),
-                ok(Stale),
-            ),
-            (
-                "strip",
-                encode_image_ack(STRIP_ACK, 7, b"strip"),
-                ok(Strip(b"strip")),
-            ),
-            (
-                "stale strip",
-                encode_image_ack(STRIP_ACK, 0, b"x"),
-                ok(Stale),
-            ),
+            ("stale read", encode_image_ack(4, b"old"), ok(Stale)),
             ("damaged read", damaged, Err("checksum")),
             ("truncated read", vec![READ_ACK, 5, 1, 2], Err("malformed")),
         ];
@@ -721,6 +631,10 @@ mod tests {
                 } => "garbage 0x7f",
                 ReplError::MissingAck {
                     replica: 3,
+                    got: Some(ACK),
+                } => "garbage ack",
+                ReplError::MissingAck {
+                    replica: 3,
                     got: None,
                 } => "garbage none",
                 ReplError::Malformed(_) => "malformed",
@@ -729,23 +643,18 @@ mod tests {
             assert_eq!(got, want, "{name}");
         }
         // Without an epoch filter nothing is stale.
-        assert_eq!(classify_response(&[ACK], 0, 0).unwrap(), Response::Ack);
+        assert_eq!(
+            classify_response(&encode_ack(ACK, 0), 0, 0).unwrap(),
+            Response::Ack
+        );
     }
 
     #[test]
     fn responses_answer_every_outcome() {
         let rows: Vec<(Result<Applied, ReplError>, Vec<u8>)> = vec![
-            (Ok(Applied::Data(true)), encode_ack(ACK, 9)),
-            (Ok(Applied::Data(false)), encode_ack(ACK, 9)),
+            (Ok(Applied::Data), encode_ack(ACK, 9)),
             (Ok(Applied::Digest(42)), encode_digest_ack(9, 42)),
-            (
-                Ok(Applied::Strip(b"s".to_vec())),
-                encode_image_ack(STRIP_ACK, 9, b"s"),
-            ),
-            (
-                Ok(Applied::Read(b"r".to_vec())),
-                encode_image_ack(READ_ACK, 9, b"r"),
-            ),
+            (Ok(Applied::Read(b"r".to_vec())), encode_image_ack(9, b"r")),
             (
                 Err(ReplError::ChecksumMismatch {
                     expected: 1,

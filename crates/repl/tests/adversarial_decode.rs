@@ -8,6 +8,7 @@
 //!   LZSS `expected_len`) are rejected at parse time, before any
 //!   allocator sees them;
 //! * truncated LZSS streams fail cleanly through the full apply path;
+//! * a frame that is not sealed is rejected before anything parses it;
 //! * a counting allocator proves decoding arbitrary bytes never makes a
 //!   single allocation beyond the wire budget (plus `Vec` growth
 //!   doubling slack) — no matter what the frame claims.
@@ -19,7 +20,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use prins_block::{BlockSize, MemDevice};
 use prins_parity::encode_varint;
-use prins_repl::{BatchFrame, Payload, PayloadBody, ReplError, ReplicaApplier, MAX_WIRE_LEN};
+use prins_repl::{
+    seal_frame, Applied, BatchFrame, Payload, PayloadBody, ReplError, ReplicaApplier, MAX_WIRE_LEN,
+};
 use proptest::prelude::*;
 
 struct MaxAlloc;
@@ -121,7 +124,10 @@ fn truncated_lzss_streams_fail_cleanly_through_apply() {
         },
     }
     .to_bytes();
-    assert!(applier.apply(&whole).unwrap());
+    assert_eq!(
+        applier.handle(&seal_frame(1, &whole)).unwrap(),
+        Applied::Data
+    );
 
     // Every proper prefix of the compressed stream must be rejected
     // (Compress or Malformed), never applied and never a panic.
@@ -134,7 +140,10 @@ fn truncated_lzss_streams_fail_cleanly_through_apply() {
             },
         }
         .to_bytes();
-        assert!(applier.apply(&hostile).is_err(), "cut={cut}");
+        assert!(
+            applier.handle(&seal_frame(1, &hostile)).is_err(),
+            "cut={cut}"
+        );
     }
     // Same through the ParityCompressed arm: claim a sparse_len the
     // truncated stream cannot produce.
@@ -147,16 +156,42 @@ fn truncated_lzss_streams_fail_cleanly_through_apply() {
             },
         }
         .to_bytes();
-        assert!(applier.apply(&hostile).is_err(), "cut={cut}");
+        assert!(
+            applier.handle(&seal_frame(1, &hostile)).is_err(),
+            "cut={cut}"
+        );
     }
     assert_eq!(applier.applied(), 1, "no hostile frame may apply");
+}
+
+#[test]
+fn unsealed_frames_are_rejected_before_parsing() {
+    let device = MemDevice::new(BlockSize::kb4(), 4);
+    let mut applier = ReplicaApplier::new(&device);
+    let write = Payload {
+        lba: prins_block::Lba(1),
+        body: PayloadBody::Full(vec![7; 4096]),
+    }
+    .to_bytes();
+    let batch = BatchFrame {
+        payloads: vec![write.clone()],
+    }
+    .to_bytes();
+    for bare in [write, batch, frame_with_claim(1, u64::MAX, &[]), Vec::new()] {
+        assert!(matches!(
+            applier.handle(&bare),
+            Err(ReplError::ChecksumMismatch { .. })
+        ));
+    }
+    assert_eq!(applier.applied(), 0);
+    assert_eq!(applier.last_epoch(), 0);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Decoding arbitrary bytes — bare payload, batch, and the full
-    /// apply path including LZSS — never allocates a single buffer
+    /// sealed apply path including LZSS — never allocates a single buffer
     /// beyond the wire budget. `Vec` doubles its capacity while
     /// growing, so the observable bound is 2x the budget; the point is
     /// that a 16-byte frame claiming 4 GB allocates nothing of the
@@ -164,25 +199,29 @@ proptest! {
     #[test]
     fn prop_decode_allocations_stay_under_the_wire_budget(
         bytes in proptest::collection::vec(any::<u8>(), 0..512),
-        tag in 0u8..10,
+        tag in 0u8..11,
         claim in any::<u64>(),
     ) {
-        let mut bytes = bytes;
         let device = MemDevice::new(BlockSize::kb4(), 4);
         let mut applier = ReplicaApplier::new(&device);
         let claimed = frame_with_claim(tag % 6, claim, &bytes);
+        let sealed = seal_frame(1, &bytes);
+        let sealed_claim = seal_frame(1, &claimed);
+        let mut tagged = bytes.clone();
+        if let Some(first) = tagged.first_mut() {
+            *first = tag; // retry with every dispatchable tag byte
+        }
+        let sealed_tagged = seal_frame(1, &tagged);
 
         LARGEST.store(0, Ordering::SeqCst);
         WATCHING.store(true, Ordering::SeqCst);
         let _ = Payload::from_bytes(&bytes);
         let _ = Payload::from_bytes(&claimed);
         let _ = BatchFrame::from_bytes(&bytes);
-        let _ = applier.apply(&bytes);
-        let _ = applier.apply(&claimed);
-        if !bytes.is_empty() {
-            bytes[0] = tag; // retry with every dispatchable tag byte
-            let _ = applier.apply(&bytes);
-        }
+        let _ = applier.handle(&bytes);
+        let _ = applier.handle(&sealed);
+        let _ = applier.handle(&sealed_claim);
+        let _ = applier.handle(&sealed_tagged);
         WATCHING.store(false, Ordering::SeqCst);
 
         let largest = LARGEST.load(Ordering::SeqCst);

@@ -25,7 +25,7 @@ use prins_net::{SimLinkCtl, SimNet, SimTransport, Transport};
 use prins_obs::{EventKind, Registry, TraceConfig, TraceSink};
 use prins_parity::ErasureCodec;
 use prins_repl::{
-    is_sealed, open_frame, serve_simulated, AckPolicy, BatchFrame, Payload, ReplicaApplier,
+    open_frame, serve_simulated, AckPolicy, BatchFrame, Payload, ReplicaApplier, BATCH_TAG,
 };
 
 /// FNV-1a over a block image — the oracle's content fingerprint.
@@ -113,35 +113,25 @@ impl Replicas {
     }
 }
 
-/// Extracts the LBAs a wire frame writes to (batch frames recurse).
-/// Sealed envelopes are unwrapped first; a frame that fails its
-/// integrity check — corrupted in flight — writes nothing, and digest
-/// probes are reads, so both contribute no LBAs.
+/// Extracts the LBAs a wire frame writes to. A frame that fails to
+/// open — corrupted in flight — writes nothing, and digest and read
+/// requests are not payloads, so both contribute no LBAs.
 fn frame_lbas(bytes: &[u8]) -> Vec<u64> {
-    if is_sealed(bytes) {
-        return match open_frame(bytes) {
-            Ok((_, inner)) => frame_lbas(inner),
-            Err(_) => Vec::new(),
-        };
-    }
-    if prins_repl::is_digest_request(bytes) || prins_repl::is_read_request(bytes) {
+    let Ok((_, body)) = open_frame(bytes) else {
         return Vec::new();
-    }
-    if BatchFrame::is_batch(bytes) {
-        match BatchFrame::from_bytes(bytes) {
-            Ok(frame) => frame
-                .payloads
-                .iter()
-                .flat_map(|inner| frame_lbas(inner))
-                .collect(),
-            Err(_) => Vec::new(),
-        }
+    };
+    let payloads = if body.first() == Some(&BATCH_TAG) {
+        BatchFrame::from_bytes(body)
+            .map(|batch| batch.payloads)
+            .unwrap_or_default()
     } else {
-        match Payload::from_bytes(bytes) {
-            Ok(p) => vec![p.lba.index()],
-            Err(_) => Vec::new(),
-        }
-    }
+        vec![body.to_vec()]
+    };
+    payloads
+        .iter()
+        .filter_map(|p| Payload::from_bytes(p).ok())
+        .map(|p| p.lba.index())
+        .collect()
 }
 
 /// Per-LBA delivery-order + no-duplicate-delivery check over the
@@ -1087,9 +1077,9 @@ impl std::fmt::Debug for EngineWorld {
 
 /// Builds one strip-holding node behind a fresh [`SimNet`] link: a
 /// zeroed `stripes`-block device and an actor running the stock apply
-/// loop with a Reed–Solomon codec applier in strict sealed mode — the
-/// same loop mirroring replicas run, answering strip deltas, strip
-/// reads, and everything else.
+/// loop with a Reed–Solomon codec applier — the same loop mirroring
+/// replicas run, answering strip deltas, read requests, and everything
+/// else.
 fn spawn_strip_node(
     net: &SimNet,
     name: &str,

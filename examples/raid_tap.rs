@@ -11,13 +11,13 @@
 //! ```
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use prins_block::{BlockDevice, BlockSize, Lba, MemDevice};
 use prins_net::{channel_pair, LinkModel, Transport};
 use prins_parity::SparseCodec;
 use prins_raid::{RaidArray, RaidLevel};
-use prins_repl::{run_replica, Payload, PayloadBody};
+use prins_repl::{run_replica, Payload, ReplicaLink};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Replica site.
@@ -34,14 +34,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     let raid = RaidArray::new(RaidLevel::Raid5, members)?;
     let codec = SparseCodec::default();
+    let mut link: ReplicaLink<()> = ReplicaLink::new(0, Box::new(uplink));
+    let mut frame = Vec::new();
     raid.set_parity_tap(Box::new(move |lba, parity_delta| {
-        let payload = Payload {
-            lba,
-            body: PayloadBody::Parity(codec.encode(parity_delta).to_bytes()),
-        };
-        uplink.send(&payload.to_bytes()).expect("replica link");
-        let ack = uplink.recv().expect("replica ack");
-        assert_eq!(ack, [0x06], "replica acknowledged");
+        let parity = codec.encode(parity_delta);
+        link.send_with(
+            &mut frame,
+            |out| {
+                Payload::write_parity_header(out, lba);
+                parity.write_into(out);
+            },
+            (),
+        )
+        .expect("replica link");
+        let ack = link
+            .collect_ack(Duration::from_secs(5))
+            .expect("the parity frame is in flight");
+        ack.result.expect("replica acknowledged");
     }));
 
     // The application writes through the array; PRINS replication is
